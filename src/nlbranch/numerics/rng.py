@@ -53,8 +53,10 @@ def _raw(k1, k2, hi, lo):
 
 
 def _to_unit(word):
-    # 53-bit mantissa in the open interval (0, 1)
-    return (word >> _U64(11)).astype(np.float64) * (0.5 ** 53) + 0.5 ** 54
+    # 53-bit mantissa in the open interval (0, 1); the top value
+    # 1 - 2^-54 rounds to 1.0, so it is clamped to the largest float below 1
+    u = (word >> _U64(11)).astype(np.float64) * (0.5 ** 53) + 0.5 ** 54
+    return np.minimum(u, 1.0 - 0.5 ** 53)
 
 
 class StreamBundle:
@@ -190,4 +192,8 @@ class RngStream:
         return int(self._bundle.poissons(np.array([float(lam)]))[0])
 
     def uniforms(self, n: int):
-        return np.array([self.next_uniform() for _ in range(int(n))])
+        """The next n uniforms, as n calls of ``next_uniform`` would give."""
+        n = int(n)
+        u = self._bundle.uniforms_at(np.arange(n, dtype=np.uint64))
+        self._bundle.advance(n)
+        return u

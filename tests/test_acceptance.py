@@ -246,8 +246,8 @@ def _cms_one_sided_stable(alpha, n, rng):
 
 
 def test_criterion_08_stable_increment_distribution():
-    # one step with a2 = 1, dt = 1, cutoff 1e-4 vs the independent
-    # trigonometric stable sampler
+    # one step with a2 = 1, dt = 1 on full support (one exact stable draw;
+    # the cutoff is unused) vs the independent trigonometric sampler
     alpha = 1.5
     m = make_model(b0=1e-300, r0=0.0, b2=1.0, r2=0.0, alpha=alpha)
     cfg = SimConfig(dt=1.0, eps_cut=1e-4, horizon_t=2.0, cap_b=1e300)
@@ -261,7 +261,7 @@ def test_criterion_08_stable_increment_distribution():
     oracle = _cms_one_sided_stable(alpha, n, np.random.default_rng(999))
     stat = float(ks_2samp(increments, oracle).statistic)
     _verdict(8, "stable-increment-distribution", stat <= 0.02,
-             f"two-sample KS={stat:.4f} (<=0.02) at n=1e4, eps=1e-4, dt=1")
+             f"two-sample KS={stat:.4f} (<=0.02) at n=1e4, dt=1")
 
 
 def test_criterion_09_martingale_residual():

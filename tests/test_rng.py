@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlbranch.numerics import RngStream, StreamBundle
+from nlbranch.numerics.rng import _to_unit
 
 
 def test_same_seed_same_stream_identical_sequences():
@@ -17,6 +18,10 @@ def test_output_is_pure_function_of_counter():
     first = [s.next_uniform() for _ in range(50)]
     replay = RngStream(42, stream_id=3, counter=10)
     assert [replay.next_uniform() for _ in range(40)] == first[10:]
+    # one vector draw equals the scalar draws bit for bit
+    vector = RngStream(42, stream_id=3, counter=10)
+    assert np.array_equal(vector.uniforms(40), first[10:])
+    assert vector.counter == 50
 
 
 def test_distinct_streams_differ_and_counter_advances():
@@ -32,6 +37,10 @@ def test_uniform_range_and_equidistribution_smoke():
     b = StreamBundle(2024, np.arange(4))
     draws = np.array([b.uniforms() for _ in range(50_000)])  # (n, 4)
     assert np.all(draws > 0.0) and np.all(draws < 1.0)
+    # the two top words would round up to 1.0; the word below keeps its value
+    top = _to_unit(np.array([0xFFFFFFFFFFFFF800, 0xFFFFFFFFFFFFFFFF,
+                             0xFFFFFFFFFFFFF7FF], dtype=np.uint64))
+    assert list(top) == [1.0 - 2.0 ** -53] * 2 + [1.0 - 2.0 ** -52]
     # per-stream first two moments
     assert np.allclose(draws.mean(axis=0), 0.5, atol=0.01)
     assert np.allclose(draws.var(axis=0), 1.0 / 12.0, atol=0.005)
