@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .model import ValidatedModel
+from .model import StableMeasure, ValidatedModel
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
 from .numerics.quadrature import integrate_truncated
 
@@ -40,6 +40,7 @@ __all__ = [
     "phi",
     "phi_with_scale",
     "phi_by_quadrature",
+    "nested_jump_moment",
     "k_rho",
     "stable_k_integral",
     "k_integral_bounds",
@@ -287,19 +288,13 @@ def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float) -> float
     return r.value
 
 
-def phi_by_quadrature(model: ValidatedModel, u: float,
-                      quad_tol: float = 1e-10) -> float:
-    """Independent route to ``phi``: both integrals done by quadrature.
-
-    The jump moment is evaluated as a genuinely nested double integral
-    (outer in z, inner in v) rather than through the closed inner form;
-    used by the self-test battery to cross-check the fast path.
-    """
-    if u <= 0.0:
-        raise ValueError("u must be positive")
-    u = float(u)
-    a = model.alpha
-    c = model.c_alpha
+def nested_jump_moment(mu: StableMeasure, u: float,
+                       quad_tol: float = 1e-10) -> float:
+    """int over U of c z^(1-alpha) int_0^1 (u+vz)^-2 (1-v) dv dz as a nested
+    double integral, not through the closed inner form; on full support
+    it equals gamma(alpha) u^(-alpha)."""
+    a = mu.alpha
+    c = mu.c_alpha()
 
     def f(z):
         z = np.atleast_1d(z)
@@ -309,15 +304,25 @@ def phi_by_quadrature(model: ValidatedModel, u: float,
                 tol=min(1e-12, quad_tol)).value
             for zz in z
         ])
+        # z^2 mu(z): powers combined so probing tiny z cannot overflow
         return c * z ** (1.0 - a) * inner
 
-    if model.full_support:
-        moment = integrate_semiinfinite(f, quad_tol, head_power=1.0 - a,
-                                        tail_power=-a).value
-    else:
-        moment = integrate_truncated(f, model.u_max, quad_tol,
-                                     head_power=1.0 - a).value
+    if mu.u_max is None:
+        return integrate_semiinfinite(f, quad_tol, head_power=1.0 - a,
+                                      tail_power=-a).value
+    return integrate_truncated(f, mu.u_max, quad_tol,
+                               head_power=1.0 - a).value
 
+
+def phi_by_quadrature(model: ValidatedModel, u: float,
+                      quad_tol: float = 1e-10) -> float:
+    """Independent route to ``phi``: the jump moment from
+    ``nested_jump_moment`` and the atom terms by quadrature, a cross-check
+    of the closed forms in ``phi``."""
+    if u <= 0.0:
+        raise ValueError("u must be positive")
+    u = float(u)
+    moment = nested_jump_moment(model.spec.mu, u, quad_tol)
     t_atoms = 0.0
     if not model.nu_empty:
         for z, w in zip(model.nu_z, model.nu_w):

@@ -6,7 +6,6 @@ U that is either all of (0,inf) or a bounded cut (0,u_max], and a finite
 atomic measure living outside U.
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -27,11 +26,6 @@ __all__ = [
     "validate",
     "critical_deficit",
 ]
-
-# test hook: scales the stable density constant so the self-test battery
-# can demonstrate sensitivity; leave unset in normal operation
-_DEBUG_CALPHA_ENV = "NLBRANCH_DEBUG_CALPHA_SCALE"
-
 
 class ValidationError(ValueError):
     """Model validation failure with a stable machine-readable code."""
@@ -95,8 +89,7 @@ class StableMeasure:
 
     def c_alpha(self) -> float:
         a = self.alpha
-        c = a * (a - 1.0) / gamma(2.0 - a)
-        return c * float(os.environ.get(_DEBUG_CALPHA_ENV, "1"))
+        return a * (a - 1.0) / gamma(2.0 - a)
 
     def density(self, z):
         z = np.asarray(z, dtype=float)

@@ -58,7 +58,9 @@ def wilson_interval(successes: int, n: int,
 
 @dataclass(frozen=True)
 class PassageEstimate:
-    """Monte Carlo estimate of P{path from x0 drops below a before t}."""
+    """Monte Carlo estimate of P{path from x0 drops below a before t}; the
+    other paths ended capped, censored at t, or cut off by the step budget
+    (``n_unfinished``), each counted once."""
     p_hat: float
     ci95_low: float
     ci95_high: float
@@ -66,6 +68,9 @@ class PassageEstimate:
     x0: float
     a: float
     t: float
+    n_capped: int
+    n_censored: int
+    n_unfinished: int
 
     def __post_init__(self):
         assert self.ci95_low <= self.p_hat <= self.ci95_high
@@ -130,9 +135,15 @@ def estimate_passage_prob(model, cfg: SimConfig, x0: float, a: float,
     out = _run_replicates(model, cfg, x0, a, np.inf, t, n_paths, seed,
                           threads, stream_offset)
     crossed = np.count_nonzero(~np.isnan(out["tau_a"]) & (out["tau_a"] < t))
+    # a path freezes at its first event, so these never overlap
+    capped = int(np.count_nonzero(out["capped"]))
+    unfinished = int(np.count_nonzero(out["unfinished"]))
+    censored = int(n_paths - crossed - capped - unfinished)
     lo, hi = wilson_interval(crossed, n_paths)
     return PassageEstimate(p_hat=crossed / n_paths, ci95_low=lo, ci95_high=hi,
-                           n_paths=n_paths, x0=x0, a=a, t=t)
+                           n_paths=n_paths, x0=x0, a=a, t=t,
+                           n_capped=capped, n_censored=censored,
+                           n_unfinished=unfinished)
 
 
 def extinction_explosion_rates(model, cfg: SimConfig, x0: float, horizon: float,

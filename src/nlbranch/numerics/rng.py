@@ -169,31 +169,32 @@ def _poisson_inversion(lam, u):
 
 
 class RngStream:
-    """Scalar stream: the single-lane view used outside the path engine."""
+    """Scalar stream: the single-lane view used outside the path engine.
+    ``bundle`` is its one-lane ``StreamBundle`` (shared, not a copy)."""
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
-        self._bundle = StreamBundle(seed, np.array([stream_id], dtype=np.uint64))
+        self.bundle = StreamBundle(seed, np.array([stream_id], dtype=np.uint64))
         if counter:
-            self._bundle.set_counter(counter)
+            self.bundle.set_counter(counter)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
 
     @property
     def counter(self) -> int:
-        return int(self._bundle.counters()[0])
+        return int(self.bundle.counters()[0])
 
     def next_uniform(self) -> float:
-        return float(self._bundle.uniforms()[0])
+        return float(self.bundle.uniforms()[0])
 
     def next_normal(self) -> float:
-        return float(self._bundle.normals()[0])
+        return float(self.bundle.normals()[0])
 
     def next_poisson(self, lam: float) -> int:
-        return int(self._bundle.poissons(np.array([float(lam)]))[0])
+        return int(self.bundle.poissons(np.array([float(lam)]))[0])
 
     def uniforms(self, n: int):
         """The next n uniforms, as n calls of ``next_uniform`` would give."""
         n = int(n)
-        u = self._bundle.uniforms_at(np.arange(n, dtype=np.uint64))
-        self._bundle.advance(n)
+        u = self.bundle.uniforms_at(np.arange(n, dtype=np.uint64))
+        self.bundle.advance(n)
         return u

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import TestFunction, apply_generator
-from .model import PowerLaw, ValidatedModel
+from .model import PowerLaw, StableMeasure, ValidatedModel
 from .numerics.rng import RngStream, StreamBundle
 
 __all__ = [
@@ -170,8 +170,7 @@ def stable_step_params(alpha: float, eps: float,
         raise ValueError("alpha must lie in (1, 2)")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    c = alpha * (alpha - 1.0) / math.gamma(2.0 - alpha) \
-        if c_alpha is None else c_alpha
+    c = StableMeasure(alpha).c_alpha() if c_alpha is None else c_alpha
     lam, m, sigma2 = _cutoff_terms(alpha, c, eps, u_max)
     return StableStepParams(float(lam), float(m), float(sigma2))
 
@@ -378,7 +377,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     """Simulate one block of lanes to crossing/absorption/cap/horizon.
 
     Returns a dict of per-lane arrays (crossing times are nan when the
-    event never happened) plus the generator integral when g is given.
+    event never happened, ``unfinished`` marks lanes the step budget cut
+    off) plus the generator integral when g is given.
     """
     horizon = cfg.horizon_t if horizon is None else float(horizon)
     eng = _Engine(model, replace(cfg, horizon_t=horizon), levels=(a, b))
@@ -434,7 +434,7 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     out = {
         "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b,
         "tau_zero": tau_zero, "capped_at": capped_at,
-        "absorbed": absorbed, "capped": capped,
+        "absorbed": absorbed, "capped": capped, "unfinished": active,
     }
     if g is not None:
         out["lg_integral"] = lg_integral
@@ -446,20 +446,14 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
 def _generator_values(model, g, u_vec, quad_tol):
     """Generator of g at a vector of states (left-endpoint evaluation)."""
     u_vec = np.asarray(u_vec, dtype=float)
+    spec = model.spec
+    if not spec.a2.is_zero:
+        # heavy jumps need one quadrature per distinct state
+        return np.array([apply_generator(model, g, float(u), quad_tol)
+                         for u in u_vec])
     vals = np.asarray(model.a0(u_vec) * g.g1(u_vec)
                       + 0.5 * model.a1(u_vec) * g.g2(u_vec), dtype=float)
-    spec = model.spec
-    if not getattr(spec.a2, "is_zero", False):
-        # heavy-jump part needs one quadrature per distinct state
-        extra = np.array([
-            apply_generator(model, g, float(u), quad_tol)
-            - float(model.a0(u)) * float(g.g1(u))
-            - 0.5 * float(model.a1(u)) * float(g.g2(u))
-            for u in u_vec
-        ])
-        vals = vals + extra
-        return vals
-    if not model.nu_empty and not getattr(spec.a3, "is_zero", False):
+    if not model.nu_empty and not spec.a3.is_zero:
         acc = np.zeros_like(u_vec)
         for z, w in zip(model.nu_z, model.nu_w):
             acc += w * np.asarray(g.jump_delta(u_vec, z), dtype=float)
@@ -473,7 +467,7 @@ def step(state: PathState, model: ValidatedModel, cfg: SimConfig,
     if state.frozen:
         raise ValueError("cannot step a frozen path state")
     eng = _Engine(model, cfg)
-    bundle = rng._bundle
+    bundle = rng.bundle
     idx = np.array([0])
     x_new, t_new, _, _ = eng.advance(np.array([state.x]),
                                      np.array([state.t]), bundle, idx)
@@ -491,7 +485,7 @@ def simulate_until(model: ValidatedModel, cfg: SimConfig, x0: float,
     the configured horizon."""
     if not (0.0 <= a < x0 < b <= cfg.cap_b):
         raise ValueError("need 0 <= a < x0 < b <= cap_b")
-    out = _run_block(model, cfg, x0, a, b, rng._bundle)
+    out = _run_block(model, cfg, x0, a, b, rng.bundle)
 
     def scalar(arr):
         v = float(arr[0])
@@ -512,7 +506,7 @@ def simulate_until(model: ValidatedModel, cfg: SimConfig, x0: float,
 def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float,
                rng: RngStream, max_points: int = 10_000):
     """One path trace as (t, x) arrays, thinned to at most max_points."""
-    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf, bundle=rng._bundle,
+    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf, bundle=rng.bundle,
                      trace=True)
     pts = out["trace"]
     stride = max(1, int(math.ceil(len(pts) / (max_points - 1))))

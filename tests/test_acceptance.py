@@ -12,39 +12,29 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from nlbranch.cli import main as cli_main
-from nlbranch.criteria import (
-    InfinityBehavior,
-    Verdict,
-    apply_generator,
-    classify,
-    k_integral_bounds,
-    ln_test_function,
-    phi,
-    stable_k_integral,
+from nlbranch.cli import (
+    CRITICAL_FAMILIES,
+    check_generator_consistency,
+    check_k_sandwich,
+    check_stable_identity,
+    main as cli_main,
 )
-from nlbranch.model import (
-    FiniteMeasure,
-    ModelSpec,
-    PowerLaw,
-    StableMeasure,
-    validate,
+from nlbranch.criteria import InfinityBehavior, Verdict, classify, ln_test_function
+from nlbranch.montecarlo import (
+    _model_from_params,
+    estimate_passage_prob,
+    extinction_explosion_rates,
 )
-from nlbranch.montecarlo import estimate_passage_prob, extinction_explosion_rates
 from nlbranch.numerics import StreamBundle, gamma
-from nlbranch.numerics.quadrature import integrate_semiinfinite, integrate_truncated
 from nlbranch.simulator import SimConfig, martingale_residual
 from nlbranch.simulator import _Engine
+from test_simulator import cms_one_sided_stable
 
 _TIMINGS = {}
 
 
-def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0, alpha=1.5):
-    return validate(ModelSpec(
-        a0=PowerLaw(b0, r0), a1=PowerLaw(b1, r1), a2=PowerLaw(b2, r2),
-        a3=PowerLaw(0.0, 0.0), mu=StableMeasure(alpha=alpha),
-        nu=FiniteMeasure(()),
-    ))
+def make_model(**params):
+    return _model_from_params(params)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -53,71 +43,32 @@ def _verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-GBM = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-JUMP = dict(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, alpha=1.5)
-MIXED = dict(b0=0.5 + 0.5 * gamma(1.5), r0=1.0, b1=1.0, r1=2.0,
-             b2=0.5, r2=1.5, alpha=1.5)
+GBM, JUMP, MIXED = CRITICAL_FAMILIES.values()
 
 
 def test_criterion_01_stable_integral_identity():
     started = time.monotonic()
-    worst = {}
-    for alpha, tol in [(1.1, 1e-8), (1.5, 1e-8), (1.9, 1e-8),
-                       (1.01, 1e-6), (1.99, 1e-6)]:
-        c = StableMeasure(alpha=alpha).c_alpha()
-        for u in (1.0, 10.0, 1e3):
-            def f(z):
-                z = np.atleast_1d(z)
-                inner = np.array([
-                    integrate_truncated(
-                        lambda v: (u + v * zz) ** -2 * (1.0 - v),
-                        upper=1.0, tol=1e-12).value
-                    for zz in z])
-                return c * z ** (1.0 - alpha) * inner
-
-            got = integrate_semiinfinite(f, 1e-10, head_power=1.0 - alpha,
-                                         tail_power=-alpha).value
-            rel = abs(got / (gamma(alpha) * u ** -alpha) - 1.0)
-            worst[(alpha, u)] = (rel, tol)
+    chk = check_stable_identity()
     elapsed = time.monotonic() - started
-    ok = all(rel <= tol for rel, tol in worst.values()) and elapsed < 5.0
-    peak = max(rel / tol for rel, tol in worst.values())
-    _verdict(1, "stable-integral-identity", ok,
-             f"worst rel/tol={peak:.3f}, elapsed={elapsed:.2f}s (<5s)")
+    _verdict(1, "stable-integral-identity", chk["passed"] and elapsed < 5.0,
+             f"worst rel/tol={chk['worst']:.3f}, elapsed={elapsed:.2f}s (<5s)")
 
 
 def test_criterion_02_k_integral_sandwich():
     started = time.monotonic()
-    violations = []
-    for alpha in (1.2, 1.5, 1.8):
-        m = make_model(b0=1.0, r0=1.0, b2=1.0, r2=0.0, alpha=alpha)
-        for u in (10.0, 100.0, 1e4):
-            for rho in (0.5, 1.0, 2.0):
-                ki = stable_k_integral(m, u, rho, 1e-10)
-                lo, up = k_integral_bounds(u, rho, alpha, m.c_alpha)
-                if not lo <= ki <= up:
-                    violations.append((alpha, u, rho, lo, ki, up))
+    chk = check_k_sandwich()
     elapsed = time.monotonic() - started
-    ok = not violations and elapsed < 10.0
-    _verdict(2, "k-integral-sandwich", ok,
-             f"27 combos, {len(violations)} violations, "
+    _verdict(2, "k-integral-sandwich", chk["passed"] and elapsed < 10.0,
+             f"27 combos, {chk['worst']} violations, "
              f"elapsed={elapsed:.2f}s (<10s)")
 
 
 def test_criterion_03_generator_identity():
     started = time.monotonic()
-    g = ln_test_function()
-    worst = 0.0
-    for params in (GBM, JUMP, MIXED):
-        m = make_model(**params)
-        for u in (5.0, 100.0, 1e6):
-            lg = apply_generator(m, g, u, 1e-10)
-            ph = phi(m, u)
-            worst = max(worst, abs(lg + ph) / (1.0 + abs(ph)))
+    chk = check_generator_consistency()
     elapsed = time.monotonic() - started
-    ok = worst <= 1e-8 and elapsed < 5.0
-    _verdict(3, "generator-identity", ok,
-             f"max |L(ln)+phi|/(1+|phi|)={worst:.2e} (<=1e-8), "
+    _verdict(3, "generator-identity", chk["passed"] and elapsed < 5.0,
+             f"max |L(ln)+phi|/(1+|phi|)={chk['worst']:.2e} (<=1e-8), "
              f"elapsed={elapsed:.2f}s (<5s)")
 
 
@@ -235,16 +186,6 @@ def test_criterion_07_no_absorption_in_critical_cases():
              f"control frac_capped={r_ctl.frac_capped:.3f} (=1)")
 
 
-def _cms_one_sided_stable(alpha, n, rng):
-    B = math.atan(math.tan(math.pi * alpha / 2.0)) / alpha
-    S = (1.0 + math.tan(math.pi * alpha / 2.0) ** 2) ** (1.0 / (2.0 * alpha))
-    V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    W = rng.exponential(1.0, n)
-    X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
-         * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
-    return abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha) * X
-
-
 def test_criterion_08_stable_increment_distribution():
     # one step with a2 = 1, dt = 1 on full support (one exact stable draw;
     # the cutoff is unused) vs the independent trigonometric sampler
@@ -258,7 +199,7 @@ def test_criterion_08_stable_increment_distribution():
     x_new, _, _, _ = eng.advance(np.full(n, x0), np.zeros(n), bundle,
                                  np.arange(n))
     increments = x_new - x0
-    oracle = _cms_one_sided_stable(alpha, n, np.random.default_rng(999))
+    oracle = cms_one_sided_stable(alpha, n, np.random.default_rng(999))
     stat = float(ks_2samp(increments, oracle).statistic)
     _verdict(8, "stable-increment-distribution", stat <= 0.02,
              f"two-sample KS={stat:.4f} (<=0.02) at n=1e4, dt=1")

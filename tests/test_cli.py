@@ -12,6 +12,7 @@ from nlbranch.config import (
     echo_to_ini,
     parse_config_text,
 )
+from nlbranch.model import StableMeasure
 
 GBM_CONFIG = """
 [model]
@@ -146,6 +147,9 @@ def test_cli_passage_gbm(tmp_path):
     r = rep["results"]
     assert 0.0 <= r["ci95_low"] <= r["p_hat"] <= r["ci95_high"] <= 1.0
     assert r["query"] == {"x0": 10.0, "a": 1.0, "t": 1.0}
+    crossed = round(r["p_hat"] * r["n_paths"])
+    assert r["n_unfinished"] == 0
+    assert crossed + r["n_capped"] + r["n_censored"] == r["n_paths"]
 
 
 def test_cli_simulate_trace_deterministic(tmp_path):
@@ -219,9 +223,11 @@ def test_cli_selftest_passes(tmp_path):
 
 
 def test_cli_selftest_detects_perturbed_constant(tmp_path, monkeypatch):
-    # the debug hook scales the stable density constant by 1%: the
-    # identity check must fail and the exit code must be 3
-    monkeypatch.setenv("NLBRANCH_DEBUG_CALPHA_SCALE", "1.01")
+    # a stable density constant 1% off: the identity check must fail and
+    # the exit code must be 3
+    true_c_alpha = StableMeasure.c_alpha
+    monkeypatch.setattr(StableMeasure, "c_alpha",
+                        lambda self: 1.01 * true_c_alpha(self))
     out = str(tmp_path / "selftest.json")
     assert main(["selftest", "--out", out]) == 3
     rep = json.loads(open(out).read())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlbranch.cli import CRITICAL_FAMILIES
 from nlbranch.criteria import (
     RHO_SCAN,
     BoundaryReport,
@@ -36,10 +37,7 @@ def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
     ))
 
 
-GBM_CRITICAL = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-JUMP_CRITICAL = dict(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, alpha=1.5)
-MIXED_CRITICAL = dict(b0=0.5 + gamma(1.5) * 0.5, r0=1.0,
-                      b1=1.0, r1=2.0, b2=0.5, r2=1.5, alpha=1.5)
+GBM_CRITICAL, JUMP_CRITICAL, MIXED_CRITICAL = CRITICAL_FAMILIES.values()
 
 
 # ---------------------------------------------------------------------------

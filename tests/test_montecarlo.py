@@ -42,6 +42,17 @@ def test_passage_prob_drift_only_upward_is_zero():
     assert est.p_hat == 0.0
     assert est.ci95_low == 0.0
     assert est.ci95_low <= est.p_hat <= est.ci95_high
+    assert (est.n_capped, est.n_censored, est.n_unfinished) == (0, 200, 0)
+
+
+def test_passage_counts_paths_cut_off_by_the_step_budget():
+    # three steps of 1e-2 reach neither the barrier (about 9 s.d. away) nor t
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0, step_budget=3)
+    est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
+                                n_paths=200, seed=1)
+    assert est.p_hat == 0.0
+    assert (est.n_capped, est.n_censored, est.n_unfinished) == (0, 0, 200)
 
 
 def test_passage_prob_preconditions():
