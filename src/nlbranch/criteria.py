@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import StableMeasure, ValidatedModel
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
-from .numerics.quadrature import integrate_truncated
+from .numerics.quadrature import QuadTally, integrate_truncated
 
 __all__ = [
     "CriteriaConfig",
@@ -56,7 +56,6 @@ RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
 _EXPONENT_TOL = 1e-12
 _COEF_REL_TOL = 1e-12
-_K_SERIES_SWITCH = 1e-4
 
 
 class Verdict(str, Enum):
@@ -236,13 +235,14 @@ def log_power_test_function(rho: float) -> TestFunction:
 # scalar diagnostics
 
 
-def phi_with_scale(model: ValidatedModel, u: float,
-                   quad_tol: float = 1e-10) -> Tuple[float, float]:
+def phi_with_scale(model: ValidatedModel, u: float, quad_tol: float = 1e-10,
+                   tally: Optional[QuadTally] = None) -> Tuple[float, float]:
     """Drift index at u together with the magnitude scale of its terms.
 
     The scale (sum of absolute term sizes) is what "phi is numerically
     zero" must be judged against: on critical models the terms cancel
     exactly and the value is roundoff-level relative to the scale.
+    A ``tally`` collects the cost and error of any quadrature.
     """
     if u <= 0.0:
         raise ValueError("u must be positive")
@@ -253,7 +253,7 @@ def phi_with_scale(model: ValidatedModel, u: float,
     if a2u == 0.0:
         t_jump = 0.0
     else:
-        t_jump = a2u * _quadratic_jump_moment(model, u, quad_tol)
+        t_jump = a2u * _quadratic_jump_moment(model, u, quad_tol, tally)
     if model.nu_empty:
         t_atoms = 0.0
     else:
@@ -269,7 +269,8 @@ def phi(model: ValidatedModel, u: float, quad_tol: float = 1e-10) -> float:
     return phi_with_scale(model, u, quad_tol)[0]
 
 
-def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float) -> float:
+def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float,
+                           tally: Optional[QuadTally]) -> float:
     """int over U of z^2 mu(dz) * int_0^1 (u+vz)^-2 (1-v) dv.
 
     The inner integral collapses to (z/u - log1p(z/u)) / z^2; on full
@@ -284,8 +285,12 @@ def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float) -> float
     def f(z):
         return c * z ** (-1.0 - a) * x_minus_log1p(z / u)
 
-    r = integrate_truncated(f, model.u_max, tol, head_power=1.0 - a)
-    return r.value
+    return _value(integrate_truncated(f, model.u_max, tol, head_power=1.0 - a),
+                  tally)
+
+
+def _value(result, tally: Optional[QuadTally]) -> float:
+    return result.value if tally is None else tally.add(result)
 
 
 def nested_jump_moment(mu: StableMeasure, u: float,
@@ -335,12 +340,12 @@ def phi_by_quadrature(model: ValidatedModel, u: float,
 def k_rho(u: float, z, rho: float):
     """Curvature kernel at state u > 3 for jump sizes z >= 0.
 
-    With y = ln(u+z)/ln(u) the kernel is y^(-rho) + rho y - (rho+1),
-    which is nonnegative and vanishes only at z = 0.  Below
-    y - 1 < 1e-4 the direct form loses most of its digits to
-    cancellation, so the evaluation switches to the expansion of the
-    second-order Taylor remainder around y = 1; the two branches agree
-    to at least 8 digits across the switch.
+    With d = ln(1+z/u)/ln(u) and y = 1+d the kernel is
+    y^(-rho) + rho y - (rho+1), which is nonnegative and vanishes only at
+    z = 0.  With w = rho log1p(d) it splits into two nonnegative brackets,
+    [e^(-w) - 1 + w] + rho [d - log1p(d)], each evaluated without
+    cancellation: the second by ``x_minus_log1p``, the first by its
+    series on expm1(-w) where that is small and as a plain sum above.
     """
     if not u > 3.0:
         raise ValueError(f"k_rho requires u > 3, got {u}")
@@ -349,27 +354,24 @@ def k_rho(u: float, z, rho: float):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("jump sizes must be >= 0")
-    lnu = math.log(u)
-    d = np.log1p(z_arr / u) / lnu
-    small = d < _K_SERIES_SWITCH
-
-    ds = np.where(small, d, 0.0)
-    r2, r3, r4, r5 = rho + 2.0, rho + 3.0, rho + 4.0, rho + 5.0
-    bracket = (1.0 / 2.0 + ds * (-r2 / 6.0 + ds * (r2 * r3 / 24.0 + ds * (
-        -r2 * r3 * r4 / 120.0 + ds * (r2 * r3 * r4 * r5 / 720.0)))))
-    series = rho * (rho + 1.0) * ds * ds * bracket
-
-    y = 1.0 + np.where(small, 0.0, d)
-    direct = y ** (-rho) + rho * y - (rho + 1.0)
-
-    out = np.where(small, series, direct)
+    d = np.log1p(z_arr / u) / math.log(u)
+    w = rho * np.log1p(d)
+    x = np.expm1(-w)
+    # past the series range the plain sum x + w is accurate (about 2e-13
+    # relative at the switch, better above); x_minus_log1p would recompute
+    # -w as log1p(x) from a rounded x, losing digits as w grows and
+    # failing once x rounds to -1 (w > 37)
+    small = x > -1e-3
+    first = np.where(small, x_minus_log1p(np.where(small, x, 0.0)), x + w)
+    out = first + rho * x_minus_log1p(d)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def stable_k_integral(model: ValidatedModel, u: float, rho: float,
-                      quad_tol: float = 1e-10) -> float:
+                      quad_tol: float = 1e-10,
+                      tally: Optional[QuadTally] = None) -> float:
     """int over U of k_rho(u, z) mu(dz) by adaptive quadrature."""
     a = model.alpha
     c = model.c_alpha
@@ -380,9 +382,10 @@ def stable_k_integral(model: ValidatedModel, u: float, rho: float,
     if model.full_support:
         # the kernel grows only logarithmically, so the bare exponential
         # tail map converges; no tail envelope is declared
-        return integrate_semiinfinite(f, quad_tol, head_power=1.0 - a).value
-    return integrate_truncated(f, model.u_max, quad_tol,
-                               head_power=1.0 - a).value
+        return _value(integrate_semiinfinite(f, quad_tol, head_power=1.0 - a),
+                      tally)
+    return _value(integrate_truncated(f, model.u_max, quad_tol,
+                                      head_power=1.0 - a), tally)
 
 
 def k_integral_bounds(u: float, rho: float, alpha: float,
@@ -406,7 +409,7 @@ def k_integral_bounds(u: float, rho: float, alpha: float,
 
 
 def h_rho(model: ValidatedModel, u: float, rho: float,
-          quad_tol: float = 1e-10) -> float:
+          quad_tol: float = 1e-10, tally: Optional[QuadTally] = None) -> float:
     """Fluctuation functional at u > 3 (see module docstring)."""
     if not u > 3.0:
         raise ValueError(f"h_rho requires u > 3, got {u}")
@@ -416,7 +419,7 @@ def h_rho(model: ValidatedModel, u: float, rho: float,
     total = 0.5 * float(model.a1(u)) / (u * u)
     a2u = float(model.a2(u))
     if a2u != 0.0:
-        total += a2u * stable_k_integral(model, u, rho, quad_tol)
+        total += a2u * stable_k_integral(model, u, rho, quad_tol, tally)
     if not model.nu_empty:
         total += float(model.a3(u)) * float(
             (model.nu_w * k_rho(u, model.nu_z, rho)).sum())
@@ -574,9 +577,10 @@ def _grid_sign(vals, scales):
 
 
 def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
-    phi_small = [phi_with_scale(model, u, cfg.quad_tol)
+    tally = QuadTally()
+    phi_small = [phi_with_scale(model, u, cfg.quad_tol, tally)
                  for u in cfg.small_u_grid]
-    phi_large = [phi_with_scale(model, u, cfg.quad_tol)
+    phi_large = [phi_with_scale(model, u, cfg.quad_tol, tally)
                  for u in cfg.large_u_grid]
     sign_zero = _grid_sign([v for v, _ in phi_small],
                            [s for _, s in phi_small])
@@ -585,7 +589,7 @@ def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRep
 
     h_grids = {}
     for rho in RHO_SCAN:
-        h_grids[rho] = [h_rho(model, u, rho, cfg.quad_tol)
+        h_grids[rho] = [h_rho(model, u, rho, cfg.quad_tol, tally)
                         for u in cfg.large_u_grid]
 
     def bounded_evidence(hs):
@@ -628,6 +632,8 @@ def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRep
         "h_large": {str(r): [[u, h] for u, h in zip(cfg.large_u_grid, hs)]
                     for r, hs in h_grids.items()},
         "rho": rho_used if rho_used is not None else cfg.rho,
+        "quad_evaluations": tally.evaluations,
+        "quad_worst_rel_error": tally.worst_rel_error,
     }
     return BoundaryReport(no_extinction, no_explosion, infinity,
                           "numeric", evidence)

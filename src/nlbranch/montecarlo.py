@@ -78,11 +78,15 @@ class PassageEstimate:
 
 @dataclass(frozen=True)
 class AbsorptionRates:
+    """Fractions of paths absorbed at zero and frozen at the cap; the
+    step budget cut off ``n_unfinished`` of the others before the
+    horizon."""
     frac_zero: float
     frac_capped: float
     ci_zero: Tuple[float, float]
     ci_capped: Tuple[float, float]
     n_paths: int
+    n_unfinished: int
 
 
 def _run_replicates(model, cfg, x0, a, b, horizon, n_paths, seed,
@@ -163,6 +167,7 @@ def extinction_explosion_rates(model, cfg: SimConfig, x0: float, horizon: float,
         ci_zero=wilson_interval(n_zero, n_paths),
         ci_capped=wilson_interval(n_cap, n_paths),
         n_paths=n_paths,
+        n_unfinished=int(np.count_nonzero(out["unfinished"])),
     )
 
 

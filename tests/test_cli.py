@@ -279,6 +279,39 @@ def test_cli_classify_tabulated_inconclusive(tmp_path):
     assert rep["config"]["model"]["a0"]["type"] == "tabulated"
 
 
+CUT_SUPPORT_CONFIG = """
+[model]
+alpha = 1.5
+u_max = 5.0
+
+[model.a0]
+type = powerlaw
+b = gamma(alpha)
+r = 1.0
+
+[model.a2]
+type = powerlaw
+b = 1.0
+r = 1.5
+
+[sim]
+dt = 1e-2
+eps_cut = 1e-4
+horizon_t = 1.0
+"""
+
+
+def test_cli_classify_cut_support(tmp_path):
+    cfg = write(tmp_path, "cut.ini", CUT_SUPPORT_CONFIG)
+    out = str(tmp_path / "rep.json")
+    assert main(["classify", "--config", cfg, "--out", out]) == 0
+    results = json.loads(open(out).read())["results"]
+    assert results["method"] == "numeric"
+    assert results["infinity_behavior"] == "stays_infinite"
+    assert results["evidence"]["quad_evaluations"] > 0
+    assert 0.0 < results["evidence"]["quad_worst_rel_error"] <= 1e-10
+
+
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):
     # a quadrature that cannot converge surfaces as exit code 2
     import nlbranch.cli as cli_mod

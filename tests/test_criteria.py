@@ -128,19 +128,34 @@ def test_k_rho_positive_random_triples():
         assert v > 0.0
 
 
-def test_k_rho_branch_agreement():
-    # both branches agree to >= 8 digits around the switch point
-    for rho in (0.5, 1.0, 2.0, 4.0):
-        for target_delta in (3e-4, 1e-3, 1e-2):
-            u = 100.0
-            z = u * math.expm1(target_delta * math.log(u))
-            direct = k_rho(u, z, rho)
-            d = math.log1p(z / u) / math.log(u)
-            r2, r3, r4, r5 = rho + 2, rho + 3, rho + 4, rho + 5
-            series = rho * (rho + 1) * d * d * (
-                0.5 - r2 * d / 6 + r2 * r3 * d * d / 24
-                - r2 * r3 * r4 * d ** 3 / 120 + r2 * r3 * r4 * r5 * d ** 4 / 720)
-            assert direct == pytest.approx(series, rel=1e-8)
+def _k_reference(d, rho):
+    """Kernel at d in long double: the binomial series
+    sum_{n>=2} C(-rho, n) d^n below 0.1, the direct form above."""
+    d, rho = np.longdouble(d), np.longdouble(rho)
+    if d >= 0.1:
+        return (1 + d) ** -rho + rho * (1 + d) - (rho + 1)
+    term, total = np.longdouble(1), np.longdouble(0)
+    for n in range(1, 60):
+        term *= (-rho - (n - 1)) / n * d
+        if n >= 2:
+            total += term
+    return total
+
+
+def test_k_rho_matches_long_double_reference():
+    # a log grid of d at u = 100, then jumps far beyond u = 10, where at
+    # rho = 10 and z = 1e300 expm1(-rho log1p(d)) rounds to -1
+    cases = [(100.0, rho, 100.0 * math.expm1(d * math.log(100.0)))
+             for rho in (0.5, 1.0, 2.0, 4.0) for d in np.logspace(-9, 1, 201)]
+    cases += [(10.0, rho, z) for rho in (4.0, 10.0) for z in (1e30, 1e300)]
+    worst = 0.0
+    for u, rho, z in cases:
+        d = math.log1p(z / u) / math.log(u)  # the d that k_rho sees
+        with np.errstate(all="raise"):
+            got = k_rho(u, z, rho)
+        ref = _k_reference(d, rho)
+        worst = max(worst, float(abs((np.longdouble(got) - ref) / ref)))
+    assert worst <= 1e-12
 
 
 def test_k_rho_domain_errors():
@@ -357,6 +372,25 @@ def test_classify_numeric_mixed_sign_is_inconclusive():
     signs = [v for _, v in rep.evidence["phi_small"]]
     assert min(signs) < 0.0 < max(signs)
     assert rep.no_extinction == Verdict.INCONCLUSIVE
+
+
+def test_classify_cut_support_models():
+    # a support cut at u_max takes the numeric path; no model of the grid
+    # may raise, and the evidence carries the quadrature cost
+    tol = CriteriaConfig().quad_tol
+    repro = make_model(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, u_max=5.0)
+    assert classify(repro).infinity_behavior == InfinityBehavior.STAYS_INFINITE
+    for alpha in (1.1, 1.5, 1.9):
+        for u_max in (0.5, 5.0, 50.0):
+            for r2 in (alpha - 0.5, alpha, alpha + 0.5):
+                rep = classify(make_model(b0=gamma(alpha), r0=1.0, b2=1.0,
+                                          r2=r2, alpha=alpha, u_max=u_max))
+                assert rep.method == "numeric"
+                assert rep.no_extinction in set(Verdict)
+                assert rep.no_explosion in set(Verdict)
+                assert rep.infinity_behavior in set(InfinityBehavior)
+                assert rep.evidence["quad_evaluations"] > 0
+                assert 0.0 < rep.evidence["quad_worst_rel_error"] <= tol
 
 
 def test_classify_report_serializes():

@@ -108,6 +108,16 @@ def test_extinction_explosion_rates_critical_gbm():
                                        n_paths=500, seed=10)
     assert rates.frac_zero == 0.0
     assert rates.frac_capped == 0.0
+    assert rates.n_unfinished == 0
+
+
+def test_absorption_rates_count_paths_cut_off_by_the_step_budget():
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0, step_budget=3)
+    rates = extinction_explosion_rates(m, cfg, x0=1.0, horizon=1.0,
+                                       n_paths=200, seed=1)
+    assert (rates.frac_zero, rates.frac_capped) == (0.0, 0.0)
+    assert rates.n_unfinished == 200
 
 
 def test_sweep_phase_diagram_predictions():

@@ -74,6 +74,20 @@ def test_budget_error_carries_partial():
     assert partial.abs_error_estimate > 0.0
 
 
+def test_refinement_rounds_share_integrand_calls():
+    # about 500 panels: one call per panel would be about 500 calls
+    calls = []
+
+    def f(v):
+        calls.append(v.size)
+        return np.sin(500.0 * v) ** 2
+
+    r = integrate_unit(f, tol=1e-10)
+    assert r.value == pytest.approx(0.5 - math.sin(1000.0) / 2000.0, rel=1e-10)
+    assert sum(calls) == r.evaluations > 100 * 15
+    assert len(calls) <= 20
+
+
 def test_post_contract_on_known_integrals():
     # |value - true| <= max(tol |true|, reported error) on a mixed bag
     cases = [
