@@ -121,6 +121,8 @@ def cmd_passage(args) -> int:
         "n_capped": est.n_capped,
         "n_censored": est.n_censored,
         "n_unfinished": est.n_unfinished,
+        "iterations": est.iterations,
+        "lane_steps": est.lane_steps,
         "query": {"x0": est.x0, "a": est.a, "t": est.t},
         "note": "grid-time crossings; cap hits count as non-crossings",
     }

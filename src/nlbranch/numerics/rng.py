@@ -86,10 +86,29 @@ class StreamBundle:
         self._lo[idx] = _U64(value & 0xFFFFFFFFFFFFFFFF)
         self._hi[idx] = _U64((value >> 64) & 0xFFFFFFFFFFFFFFFF)
 
+    def take(self, idx) -> "StreamBundle":
+        """A new bundle of the selected lanes (an index array or a mask),
+        their keys and counters copied: its draws leave this bundle as it
+        was until ``put`` writes the counters back."""
+        sub = type(self).__new__(type(self))
+        sub.seed = self.seed
+        sub.stream_ids = self.stream_ids[idx]
+        sub._k1, sub._k2 = self._k1[idx], self._k2[idx]
+        sub._lo, sub._hi = self._lo[idx], self._hi[idx]
+        return sub
+
+    def put(self, idx, source: "StreamBundle"):
+        """Set the selected lanes' counters to those of ``source``, a bundle
+        of the same streams in the same order (a ``take`` of these lanes)."""
+        if not np.array_equal(self.stream_ids[idx], source.stream_ids):
+            raise ValueError("put needs a bundle of the selected streams")
+        self._lo[idx] = source._lo
+        self._hi[idx] = source._hi
+
     def _advance(self, idx, amount):
         lo = self._lo[idx]
-        new_lo = lo + amount.astype(np.uint64)
-        self._hi[idx] += (new_lo < lo).astype(np.uint64)  # carry
+        new_lo = lo + np.asarray(amount, dtype=np.uint64)
+        self._hi[idx] += new_lo < lo  # carry
         self._lo[idx] = new_lo
 
     def advance(self, amounts, idx=None):
@@ -111,8 +130,9 @@ class StreamBundle:
     def uniforms(self, idx=None):
         """One uniform in (0,1) per selected lane; advances counters."""
         idx = slice(None) if idx is None else idx
-        u = _to_unit(self.words_at(0, idx))
-        self._advance(idx, np.ones(u.shape, dtype=np.uint64))
+        u = _to_unit(_raw(self._k1[idx], self._k2[idx], self._hi[idx],
+                          self._lo[idx]))
+        self._advance(idx, 1)
         return u
 
     def normals(self, idx=None):

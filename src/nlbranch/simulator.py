@@ -40,7 +40,10 @@ about -10 standard errors at 20k paths.
 
 The engine advances whole lanes of paths as numpy vectors.  Lane i always
 consumes random stream i regardless of scheduling, so results are
-bit-identical for any thread count or block size.
+bit-identical for any thread count or block size.  A block steps only its
+live lanes, held contiguous with their streams; lanes that finish leave
+the live set on the iteration they finish, so each iteration costs what
+its live lanes cost, not what the block does.
 """
 
 import math
@@ -282,8 +285,8 @@ class _Engine:
         return (lo - u * (lo - hi)) ** (-1.0 / a)
 
     def advance(self, x, t, bundle, idx):
-        """One step for the selected active lanes; returns
-        (x', t', dt, hit_horizon)."""
+        """One step for the lanes ``idx`` of ``bundle`` (None: all of its
+        lanes, in order); returns (x', t', dt, hit_horizon)."""
         cfg = self.cfg
         spec = self.model.spec
         scaled = _Scaled(x)
@@ -305,7 +308,7 @@ class _Engine:
         rate_nu = scaled(spec.a3, 0.0) * self.nu_mass if self.nu_active \
             else 0.0
 
-        dt = np.full_like(x, cfg.dt)
+        dt = cfg.dt
         if cfg.adaptive:
             # variance and drift of y (between cut-support heavy jumps)
             var_y = var + var_jump
@@ -332,12 +335,13 @@ class _Engine:
                 # huge per-step counts: sum each lane's jumps in one flat
                 # pass instead of lock-stepping the whole block top times
                 jump_sum = np.zeros_like(x)
-                for k in range(idx.size):
+                lane_idx = np.arange(x.size) if idx is None else idx
+                for k in range(x.size):
                     nk = int(n_big[k])
                     if nk == 0:
                         continue
                     offs = np.arange(nk, dtype=np.uint64)
-                    u = bundle.uniforms_at(offs, idx[k:k + 1])
+                    u = bundle.uniforms_at(offs, lane_idx[k:k + 1])
                     jump_sum[k] = float(np.sum(self._heavy_jump(eps[k], u)))
                 bundle.advance(n_big, idx)
                 rel = rel + jump_sum / x
@@ -376,9 +380,20 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
                trace: bool = False):
     """Simulate one block of lanes to crossing/absorption/cap/horizon.
 
+    Only the live lanes are stepped, held contiguous with their streams in
+    a ``StreamBundle.take`` of ``bundle``, so every draw and every array
+    operation covers whole arrays with no gather or scatter.  A lane
+    freezes at its first event: on an iteration where some lanes finish,
+    their event times, flags, state and stream counters are written back
+    to the caller's arrays and ``bundle`` once, and the live set is
+    compacted.  Lanes still live when ``step_budget`` runs out are written
+    back the same way.
+
     Returns a dict of per-lane arrays (crossing times are nan when the
     event never happened, ``unfinished`` marks lanes the step budget cut
-    off) plus the generator integral when g is given.
+    off), the generator integral when g is given, and the ints
+    ``iterations`` (steps taken) and ``lane_steps`` (lanes summed over
+    them).
     """
     horizon = cfg.horizon_t if horizon is None else float(horizon)
     eng = _Engine(model, replace(cfg, horizon_t=horizon), levels=(a, b))
@@ -391,50 +406,69 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     capped_at = np.full(n, np.nan)
     absorbed = np.zeros(n, dtype=bool)
     capped = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    unfinished = np.zeros(n, dtype=bool)
     lg_integral = np.zeros(n) if g is not None else None
     path = [(0.0, float(x0))] if trace else None
 
-    iters = 0
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        iters += 1
-        if iters > cfg.step_budget:
-            break
-        xa = x[idx]
-        ta = t[idx]
+    # the live lanes: caller's index, state, generator integral, streams
+    lanes = np.arange(n)
+    xl, tl = x.copy(), t.copy()
+    lgl = np.zeros(n) if g is not None else None
+    live = bundle.take(lanes)
+    iterations = lane_steps = 0
+    while lanes.size and iterations < cfg.step_budget:
+        iterations += 1
+        lane_steps += lanes.size
         if g is not None:
-            lg = _generator_values(model, g, xa, quad_tol)
-        x_new, t_new, dt, hit_horizon = eng.advance(xa, ta, bundle, idx)
+            lg = _generator_values(model, g, xl, quad_tol)
+        # idx positional: perfbench's trace hook reads it as args[4]
+        xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None)
         if g is not None:
-            lg_integral[idx] += lg * dt
+            lgl += lg * dt
 
-        absorbed_now = x_new <= cfg.floor_zero
-        x_new = np.where(absorbed_now, 0.0, x_new)
-        capped_now = (~absorbed_now) & (x_new >= cfg.cap_b)
-        cross_a = x_new < a
-        cross_b = x_new > b
+        absorbed_now = xl <= cfg.floor_zero
+        xl = np.where(absorbed_now, 0.0, xl)
+        capped_now = xl >= cfg.cap_b  # an absorbed lane sits at 0
+        cross_a = xl < a
+        cross_b = xl > b
+        if trace:
+            path.append((float(tl[0]), float(xl[0])))
+        done = absorbed_now | capped_now | cross_a | cross_b | hit_horizon
+        if not done.any():
+            continue
 
+        # few lanes finish at once: index them by position, not by mask
+        sel = np.flatnonzero(done)
+        fin = lanes[sel]
+        t_fin = tl[sel]
         for times, flags in ((tau_a, cross_a), (tau_b, cross_b),
                              (tau_zero, absorbed_now), (capped_at, capped_now)):
-            hit = flags & np.isnan(times[idx])
-            times[idx[hit]] = t_new[hit]
+            times[fin] = np.where(flags[sel], t_fin, np.nan)
+        absorbed[fin] = absorbed_now[sel]
+        capped[fin] = capped_now[sel]
+        x[fin] = xl[sel]
+        t[fin] = t_fin
+        bundle.put(fin, live.take(sel))
+        keep = ~done
+        lanes, xl, tl = lanes[keep], xl[keep], tl[keep]
+        live = live.take(keep)
+        if g is not None:
+            lg_integral[fin] = lgl[sel]
+            lgl = lgl[keep]
 
-        x[idx] = x_new
-        t[idx] = t_new
-        absorbed[idx] |= absorbed_now
-        capped[idx] |= capped_now
-        done = absorbed_now | capped_now | cross_a | cross_b | hit_horizon
-        active[idx[done]] = False
-        if trace:
-            path.append((float(t_new[0]), float(x_new[0])))
+    # lanes the step budget cut off
+    unfinished[lanes] = True
+    x[lanes] = xl
+    t[lanes] = tl
+    bundle.put(lanes, live)
+    if g is not None:
+        lg_integral[lanes] = lgl
 
     out = {
         "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b,
         "tau_zero": tau_zero, "capped_at": capped_at,
-        "absorbed": absorbed, "capped": capped, "unfinished": active,
+        "absorbed": absorbed, "capped": capped, "unfinished": unfinished,
+        "iterations": iterations, "lane_steps": lane_steps,
     }
     if g is not None:
         out["lg_integral"] = lg_integral
@@ -467,10 +501,8 @@ def step(state: PathState, model: ValidatedModel, cfg: SimConfig,
     if state.frozen:
         raise ValueError("cannot step a frozen path state")
     eng = _Engine(model, cfg)
-    bundle = rng.bundle
-    idx = np.array([0])
     x_new, t_new, _, _ = eng.advance(np.array([state.x]),
-                                     np.array([state.t]), bundle, idx)
+                                     np.array([state.t]), rng.bundle, None)
     x1, t1 = float(x_new[0]), float(t_new[0])
     if x1 <= cfg.floor_zero:
         return PathState(t=t1, x=0.0, absorbed_zero=True)

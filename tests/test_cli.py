@@ -150,6 +150,8 @@ def test_cli_passage_gbm(tmp_path):
     crossed = round(r["p_hat"] * r["n_paths"])
     assert r["n_unfinished"] == 0
     assert crossed + r["n_capped"] + r["n_censored"] == r["n_paths"]
+    assert 0 < r["iterations"] and r["n_paths"] <= r["lane_steps"]
+    assert r["lane_steps"] <= r["iterations"] * r["n_paths"]
 
 
 def test_cli_simulate_trace_deterministic(tmp_path):

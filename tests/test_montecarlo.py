@@ -12,7 +12,8 @@ from nlbranch.montecarlo import (
     sweep,
     wilson_interval,
 )
-from nlbranch.simulator import SimConfig
+from nlbranch.numerics import StreamBundle
+from nlbranch.simulator import SimConfig, _run_block
 
 
 def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0, alpha=1.5):
@@ -53,6 +54,36 @@ def test_passage_counts_paths_cut_off_by_the_step_budget():
                                 n_paths=200, seed=1)
     assert est.p_hat == 0.0
     assert (est.n_capped, est.n_censored, est.n_unfinished) == (0, 0, 200)
+
+
+def test_passage_counts_crossings_on_the_last_step():
+    # the run stops at t, so a drop below a on the step that lands on t is
+    # a crossing by t; on this grid 243 of 1247 crossings happen there
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=0.25, eps_cut=1e-4, horizon_t=1.0)
+    est = estimate_passage_prob(m, cfg, x0=3.0, a=1.0, t=1.0,
+                                n_paths=4000, seed=5)
+    out = _run_block(m, cfg, 3.0, 1.0, np.inf,
+                     StreamBundle(5, np.arange(4000, dtype=np.uint64)),
+                     horizon=1.0)
+    tau = out["tau_a"]
+    assert np.count_nonzero(tau > 0.75) == 243
+    assert est.p_hat == np.count_nonzero(~np.isnan(tau)) / 4000 == 0.31175
+    assert (est.n_capped, est.n_censored, est.n_unfinished) == (0, 2753, 0)
+
+
+def test_passage_counts_engine_steps_summed_over_blocks(monkeypatch):
+    # no lane reaches the barrier: each of the 4 blocks takes 100 steps
+    import nlbranch.montecarlo as mc
+    monkeypatch.setattr(mc, "_BLOCK", 64)
+    m = make_model(b0=1.0, r0=1.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
+                                n_paths=200, seed=3)
+    assert (est.iterations, est.lane_steps) == (400, 200 * 100)
+    rates = extinction_explosion_rates(m, cfg, x0=10.0, horizon=1.0,
+                                       n_paths=200, seed=3)
+    assert (rates.iterations, rates.lane_steps) == (400, 200 * 100)
 
 
 def test_passage_prob_preconditions():

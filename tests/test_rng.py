@@ -124,3 +124,27 @@ def test_random_access_by_offset():
     ahead = bundle.uniforms_at(np.array([3]))[0]
     seq = [bundle.uniforms()[0] for _ in range(4)]
     assert seq[3] == ahead
+
+
+def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
+    # draws on a take of some lanes equal draws on those lanes in place;
+    # put writes the counters back and leaves the other lanes alone
+    ids = np.array([3, 9, 14, 20], dtype=np.uint64)
+    ref = StreamBundle(77, ids)
+    bundle = StreamBundle(77, ids)
+    start = 2 ** 64 - 2  # the draws below carry into the high word
+    ref.set_counter(start)
+    bundle.set_counter(start)
+    pick = np.array([1, 3])
+    sub = bundle.take(pick)
+    assert np.array_equal(sub.stream_ids, ids[pick])
+    for _ in range(3):
+        assert np.array_equal(sub.normals(), ref.normals(pick))
+    assert np.array_equal(sub.poissons(np.array([2.0, 700.0])),
+                          ref.poissons(np.array([2.0, 700.0]), pick))
+    assert np.array_equal(bundle.counters(), [start] * 4)
+    assert np.array_equal(ref.counters(), [start, start + 4, start, start + 5])
+    bundle.put(pick, sub)
+    assert np.array_equal(bundle.counters(), ref.counters())
+    with pytest.raises(ValueError):
+        bundle.put(np.array([0, 1]), sub)

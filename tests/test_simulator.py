@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from nlbranch.numerics import RngStream, StreamBundle
 from nlbranch.simulator import (
     PathState,
     SimConfig,
+    _Engine,
+    _generator_values,
     _run_block,
     martingale_residual,
     simulate_until,
@@ -381,3 +384,121 @@ def test_block_run_equals_independent_single_paths():
         assert (rec.tau_a_minus is None) == bool(np.isnan(tau))
         if rec.tau_a_minus is not None:
             assert rec.tau_a_minus == tau
+
+
+def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
+    """Lane i alone, stepped by the engine on its own RngStream until its
+    first event or the step budget: the plain loop a block run must
+    reproduce.  Returns the lane's outputs, its stream counter and its
+    step count."""
+    h = cfg.horizon_t if horizon is None else horizon
+    eng = _Engine(m, replace(cfg, horizon_t=h), levels=(a, b))
+    rng = RngStream(seed, stream_id=i)
+    x, t = np.array([float(x0)]), np.zeros(1)
+    lg_integral = np.zeros(1)
+    nan = float("nan")
+    lane = dict(tau_a=nan, tau_b=nan, tau_zero=nan, capped_at=nan,
+                absorbed=False, capped=False, unfinished=True)
+    steps = 0
+    while steps < cfg.step_budget:
+        steps += 1
+        if g is not None:
+            lg = _generator_values(m, g, x, 1e-8)
+        x, t, dt, hit = eng.advance(x, t, rng.bundle, np.array([0]))
+        if g is not None:
+            lg_integral = lg_integral + lg * dt
+        xv, tv = float(x[0]), float(t[0])
+        absorbed = xv <= cfg.floor_zero
+        if absorbed:
+            xv, x = 0.0, np.zeros(1)
+        capped = xv >= cfg.cap_b
+        events = dict(tau_a=xv < a, tau_b=xv > b, tau_zero=absorbed,
+                      capped_at=capped)
+        if any(events.values()) or hit[0]:
+            lane.update({k: tv for k, v in events.items() if v})
+            lane.update(absorbed=absorbed, capped=capped, unfinished=False)
+            break
+    lane.update(x=x[0], t=t[0], lg_integral=lg_integral[0])
+    return lane, rng.counter, steps
+
+
+def _assert_lanes_match_single_runs(m, cfg, x0, a, b, n, seed, **kwargs):
+    """Every lane of a block run, its final stream counter included,
+    equals the reference loop on its own stream; returns the block and
+    the lanes' step counts."""
+    bundle = StreamBundle(seed, np.arange(n, dtype=np.uint64))
+    block = _run_block(m, cfg, x0, a, b, bundle, **kwargs)
+    counters = bundle.counters()
+    steps = []
+    for i in range(n):
+        lane, counter, k = _reference_lane(m, cfg, x0, a, b, seed, i, **kwargs)
+        for key, value in lane.items():
+            if key in block:
+                np.testing.assert_array_equal(block[key][i], value,
+                                              err_msg=f"lane {i} {key}")
+        assert counters[i] == counter > 0
+        steps.append(k)
+    # the live set shrinks as lanes finish: each lane steps only while live
+    assert block["lane_steps"] == sum(steps)
+    assert block["iterations"] == max(steps)
+    return block, steps
+
+
+def test_ragged_lanes_equal_single_paths_adaptive():
+    # c6a-style comes-down model: adaptive steps, lanes finish at crossing
+    # or cap at many different iterations
+    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True)
+    block, steps = _assert_lanes_match_single_runs(m, cfg, 1e6, 10.0, np.inf,
+                                                   12, 7)
+    assert len(set(steps)) >= 6
+    assert not block["unfinished"].any()
+
+
+@pytest.mark.parametrize("eps_rule", ["absolute", "relative"])
+def test_ragged_lanes_equal_single_paths_cut_support_with_atoms(eps_rule):
+    m = make_model(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
+                   b3=0.3, r3=1.0, u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)])
+    cfg = SimConfig(dt=1e-2, eps_cut=0.2, horizon_t=1.0, eps_rule=eps_rule)
+    block, steps = _assert_lanes_match_single_runs(m, cfg, 3.0, 2.0, 6.0,
+                                                   12, 41)
+    assert len(set(steps)) >= 8
+    assert np.any(~np.isnan(block["tau_a"])) and np.any(~np.isnan(block["tau_b"]))
+
+
+def test_ragged_lanes_equal_single_paths_cut_by_the_budget():
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0, step_budget=50)
+    block, steps = _assert_lanes_match_single_runs(m, cfg, 3.0, 1.0, 10.0,
+                                                   16, 8)
+    assert block["iterations"] == 50
+    assert 0 < np.count_nonzero(block["unfinished"]) < 16
+    assert np.all(np.isnan(block["tau_a"][block["unfinished"]]))
+    assert len(set(steps)) >= 3
+
+
+def test_ragged_lanes_equal_single_paths_with_generator_integral():
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    block, steps = _assert_lanes_match_single_runs(
+        m, cfg, 3.0, 1.0, 10.0, 16, 21, horizon=1.0, g=ln_test_function())
+    assert len(set(steps)) >= 3
+    assert np.all(block["lg_integral"] != 0.0)
+
+
+def test_engine_counts_steps_and_lane_steps():
+    # a fixed-step GBM block with no barrier: every lane runs to t
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0)
+    n = 300
+    out = _run_block(m, cfg, x0=10.0, a=-1.0, b=np.inf,
+                     bundle=StreamBundle(4, np.arange(n, dtype=np.uint64)))
+    assert isinstance(out["iterations"], int)
+    assert isinstance(out["lane_steps"], int)
+    assert out["iterations"] in (100, 101)
+    assert out["lane_steps"] == n * out["iterations"]
+    cut = _run_block(m, replace(cfg, step_budget=3), x0=10.0, a=-1.0,
+                     b=np.inf,
+                     bundle=StreamBundle(4, np.arange(n, dtype=np.uint64)))
+    assert (cut["iterations"], cut["lane_steps"]) == (3, 3 * n)
+    assert cut["unfinished"].all()
