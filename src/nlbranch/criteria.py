@@ -22,13 +22,13 @@ when the evidence is mixed.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .model import StableMeasure, ValidatedModel
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
-from .numerics.quadrature import QuadTally, integrate_truncated
+from .numerics.quadrature import QuadTally, integrate_jobs, integrate_truncated
 
 __all__ = [
     "CriteriaConfig",
@@ -43,6 +43,7 @@ __all__ = [
     "nested_jump_moment",
     "k_rho",
     "stable_k_integral",
+    "stable_k_integrals",
     "k_integral_bounds",
     "h_rho",
     "apply_generator",
@@ -244,24 +245,7 @@ def phi_with_scale(model: ValidatedModel, u: float, quad_tol: float = 1e-10,
     exactly and the value is roundoff-level relative to the scale.
     A ``tally`` collects the cost and error of any quadrature.
     """
-    if u <= 0.0:
-        raise ValueError("u must be positive")
-    u = float(u)
-    t_drift = -model.a0(u) / u
-    t_diff = 0.5 * model.a1(u) / (u * u)
-    a2u = float(model.a2(u))
-    if a2u == 0.0:
-        t_jump = 0.0
-    else:
-        t_jump = a2u * _quadratic_jump_moment(model, u, quad_tol, tally)
-    if model.nu_empty:
-        t_atoms = 0.0
-    else:
-        t_atoms = -float(model.a3(u)) * float(
-            (model.nu_w * np.log1p(model.nu_z / u)).sum())
-    value = t_drift + t_diff + t_jump + t_atoms
-    scale = abs(t_drift) + abs(t_diff) + abs(t_jump) + abs(t_atoms)
-    return float(value), float(scale)
+    return _phi_values(model, [u], quad_tol, tally)[0]
 
 
 def phi(model: ValidatedModel, u: float, quad_tol: float = 1e-10) -> float:
@@ -269,9 +253,32 @@ def phi(model: ValidatedModel, u: float, quad_tol: float = 1e-10) -> float:
     return phi_with_scale(model, u, quad_tol)[0]
 
 
-def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float,
-                           tally: Optional[QuadTally]) -> float:
-    """int over U of z^2 mu(dz) * int_0^1 (u+vz)^-2 (1-v) dv.
+def _phi_values(model: ValidatedModel, us, quad_tol: float,
+                tally: Optional[QuadTally]) -> List[Tuple[float, float]]:
+    """``phi_with_scale`` at each u; the jump moments share one run."""
+    if any(not u > 0.0 for u in us):
+        raise ValueError("u must be positive")
+    us = [float(u) for u in us]
+    a2 = [float(model.a2(u)) for u in us]
+    jumps = [i for i, v in enumerate(a2) if v != 0.0]
+    moments = dict(zip(jumps, _quadratic_jump_moments(
+        model, [us[i] for i in jumps], quad_tol, tally)))
+    out = []
+    for i, u in enumerate(us):
+        t_drift = -model.a0(u) / u
+        t_diff = 0.5 * model.a1(u) / (u * u)
+        t_jump = a2[i] * moments[i] if i in moments else 0.0
+        t_atoms = 0.0 if model.nu_empty else -float(model.a3(u)) * float(
+            (model.nu_w * np.log1p(model.nu_z / u)).sum())
+        value = t_drift + t_diff + t_jump + t_atoms
+        scale = abs(t_drift) + abs(t_diff) + abs(t_jump) + abs(t_atoms)
+        out.append((float(value), float(scale)))
+    return out
+
+
+def _quadratic_jump_moments(model: ValidatedModel, us, tol: float,
+                            tally: Optional[QuadTally]) -> List[float]:
+    """int over U of z^2 mu(dz) * int_0^1 (u+vz)^-2 (1-v) dv at each u.
 
     The inner integral collapses to (z/u - log1p(z/u)) / z^2; on full
     support the whole expression is gamma(alpha) u^(-alpha) exactly, the
@@ -279,38 +286,32 @@ def _quadratic_jump_moment(model: ValidatedModel, u: float, tol: float,
     """
     a = model.alpha
     if model.full_support:
-        return model.gamma_alpha * u ** (-a)
+        return [model.gamma_alpha * u ** (-a) for u in us]
     c = model.c_alpha
+    u = np.array(us, dtype=float)
 
-    def f(z):
-        return c * z ** (-1.0 - a) * x_minus_log1p(z / u)
+    def f(z, job):
+        return c * z ** (-1.0 - a) * x_minus_log1p(z / u[job])
 
-    return _value(integrate_truncated(f, model.u_max, tol, head_power=1.0 - a),
-                  tally)
-
-
-def _value(result, tally: Optional[QuadTally]) -> float:
-    return result.value if tally is None else tally.add(result)
+    results = integrate_jobs(f, len(us), model.u_max, tol, head_power=1.0 - a)
+    return [r.value if tally is None else tally.add(r) for r in results]
 
 
 def nested_jump_moment(mu: StableMeasure, u: float,
                        quad_tol: float = 1e-10) -> float:
     """int over U of c z^(1-alpha) int_0^1 (u+vz)^-2 (1-v) dv dz as a nested
     double integral, not through the closed inner form; on full support
-    it equals gamma(alpha) u^(-alpha)."""
+    it equals gamma(alpha) u^(-alpha).  The inner integrals at the nodes
+    of one outer round share one batched run."""
     a = mu.alpha
     c = mu.c_alpha()
 
     def f(z):
-        z = np.atleast_1d(z)
-        inner = np.array([
-            integrate_truncated(
-                lambda v: (u + v * zz) ** -2 * (1.0 - v), upper=1.0,
-                tol=min(1e-12, quad_tol)).value
-            for zz in z
-        ])
+        inner = integrate_jobs(
+            lambda v, job: (u + v * z[job]) ** -2 * (1.0 - v), z.size,
+            upper=1.0, tol=min(1e-12, quad_tol))
         # z^2 mu(z): powers combined so probing tiny z cannot overflow
-        return c * z ** (1.0 - a) * inner
+        return c * z ** (1.0 - a) * np.array([r.value for r in inner])
 
     if mu.u_max is None:
         return integrate_semiinfinite(f, quad_tol, head_power=1.0 - a,
@@ -347,14 +348,24 @@ def k_rho(u: float, z, rho: float):
     cancellation: the second by ``x_minus_log1p``, the first by its
     series on expm1(-w) where that is small and as a plain sum above.
     """
-    if not u > 3.0:
-        raise ValueError(f"k_rho requires u > 3, got {u}")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    _check_k_points("k_rho", [u], [rho])
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("jump sizes must be >= 0")
-    d = np.log1p(z_arr / u) / math.log(u)
+    out = _k_kernel(z_arr, u, math.log(u), rho)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_k_points(name, us, rhos):
+    if not all(u > 3.0 for u in us):
+        raise ValueError(f"{name} requires u > 3, got {min(us)}")
+    if not all(rho > 0.0 for rho in rhos):
+        raise ValueError("rho must be positive")
+
+
+def _k_kernel(z, u, lnu, rho):
+    """k_rho elementwise, with lnu = ln u (see ``k_rho``)."""
+    d = np.log1p(z / u) / lnu
     w = rho * np.log1p(d)
     x = np.expm1(-w)
     # past the series range the plain sum x + w is accurate (about 2e-13
@@ -363,29 +374,35 @@ def k_rho(u: float, z, rho: float):
     # failing once x rounds to -1 (w > 37)
     small = x > -1e-3
     first = np.where(small, x_minus_log1p(np.where(small, x, 0.0)), x + w)
-    out = first + rho * x_minus_log1p(d)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return first + rho * x_minus_log1p(d)
 
 
 def stable_k_integral(model: ValidatedModel, u: float, rho: float,
                       quad_tol: float = 1e-10,
                       tally: Optional[QuadTally] = None) -> float:
     """int over U of k_rho(u, z) mu(dz) by adaptive quadrature."""
+    return stable_k_integrals(model, [u], [rho], quad_tol, tally)[0]
+
+
+def stable_k_integrals(model: ValidatedModel, us, rhos,
+                       quad_tol: float = 1e-10,
+                       tally: Optional[QuadTally] = None) -> List[float]:
+    """``stable_k_integral`` at each (u, rho) pair, in one batched run."""
+    _check_k_points("stable_k_integral", us, rhos)
     a = model.alpha
     c = model.c_alpha
+    u = np.array(us, dtype=float)
+    lnu = np.array([math.log(v) for v in us])
+    rho = np.array(rhos, dtype=float)
 
-    def f(z):
-        return k_rho(u, z, rho) * c * np.asarray(z, dtype=float) ** (-1.0 - a)
+    def f(z, job):
+        return _k_kernel(z, u[job], lnu[job], rho[job]) * c * z ** (-1.0 - a)
 
-    if model.full_support:
-        # the kernel grows only logarithmically, so the bare exponential
-        # tail map converges; no tail envelope is declared
-        return _value(integrate_semiinfinite(f, quad_tol, head_power=1.0 - a),
-                      tally)
-    return _value(integrate_truncated(f, model.u_max, quad_tol,
-                                      head_power=1.0 - a), tally)
+    # the kernel grows only logarithmically, so on full support the bare
+    # exponential tail map converges; no tail envelope is declared
+    results = integrate_jobs(f, len(us), model.u_max, quad_tol,
+                             head_power=1.0 - a)
+    return [r.value if tally is None else tally.add(r) for r in results]
 
 
 def k_integral_bounds(u: float, rho: float, alpha: float,
@@ -411,19 +428,28 @@ def k_integral_bounds(u: float, rho: float, alpha: float,
 def h_rho(model: ValidatedModel, u: float, rho: float,
           quad_tol: float = 1e-10, tally: Optional[QuadTally] = None) -> float:
     """Fluctuation functional at u > 3 (see module docstring)."""
-    if not u > 3.0:
-        raise ValueError(f"h_rho requires u > 3, got {u}")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    u = float(u)
-    total = 0.5 * float(model.a1(u)) / (u * u)
-    a2u = float(model.a2(u))
-    if a2u != 0.0:
-        total += a2u * stable_k_integral(model, u, rho, quad_tol, tally)
-    if not model.nu_empty:
-        total += float(model.a3(u)) * float(
-            (model.nu_w * k_rho(u, model.nu_z, rho)).sum())
-    return total
+    return _h_values(model, [u], [rho], quad_tol, tally)[0]
+
+
+def _h_values(model: ValidatedModel, us, rhos, tol: float,
+              tally: Optional[QuadTally]) -> List[float]:
+    """``h_rho`` at each (u, rho) pair; the k-integrals share one run."""
+    _check_k_points("h_rho", us, rhos)
+    us = [float(u) for u in us]
+    a2 = [float(model.a2(u)) for u in us]
+    jumps = [i for i, v in enumerate(a2) if v != 0.0]
+    ks = dict(zip(jumps, stable_k_integrals(
+        model, [us[i] for i in jumps], [rhos[i] for i in jumps], tol, tally)))
+    out = []
+    for i, (u, rho) in enumerate(zip(us, rhos)):
+        total = 0.5 * float(model.a1(u)) / (u * u)
+        if i in ks:
+            total += a2[i] * ks[i]
+        if not model.nu_empty:
+            total += float(model.a3(u)) * float(
+                (model.nu_w * k_rho(u, model.nu_z, rho)).sum())
+        out.append(total)
+    return out
 
 
 def apply_generator(model: ValidatedModel, g: TestFunction, u: float,
@@ -535,6 +561,7 @@ def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRe
     else:
         infinity = InfinityBehavior.INCONCLUSIVE
 
+    phi_small, phi_large = _phi_grids(model, cfg, None)
     evidence = {
         "phi_terms": [[c, e] for c, e in merged],
         "phi_sign_near_zero": sign_zero,
@@ -542,13 +569,18 @@ def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRe
         "h_bounded": h_bounded,
         "h_superlogarithmic": h_superlog,
         "rho": cfg.rho,
-        "phi_small": [[u, phi(model, u, cfg.quad_tol)]
-                      for u in cfg.small_u_grid],
-        "phi_large": [[u, phi(model, u, cfg.quad_tol)]
-                      for u in cfg.large_u_grid],
+        "phi_small": [[u, v] for u, (v, _) in zip(cfg.small_u_grid, phi_small)],
+        "phi_large": [[u, v] for u, (v, _) in zip(cfg.large_u_grid, phi_large)],
     }
     return BoundaryReport(no_extinction, no_explosion, infinity,
                           "symbolic", evidence)
+
+
+def _phi_grids(model, cfg, tally):
+    """``phi_with_scale`` on the small and the large grid, from one run."""
+    small, large = cfg.small_u_grid, cfg.large_u_grid
+    phis = _phi_values(model, [*small, *large], cfg.quad_tol, tally)
+    return phis[:len(small)], phis[len(small):]
 
 
 def _grid_sign(vals, scales):
@@ -578,19 +610,18 @@ def _grid_sign(vals, scales):
 
 def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
     tally = QuadTally()
-    phi_small = [phi_with_scale(model, u, cfg.quad_tol, tally)
-                 for u in cfg.small_u_grid]
-    phi_large = [phi_with_scale(model, u, cfg.quad_tol, tally)
-                 for u in cfg.large_u_grid]
+    phi_small, phi_large = _phi_grids(model, cfg, tally)
     sign_zero = _grid_sign([v for v, _ in phi_small],
                            [s for _, s in phi_small])
     sign_inf = _grid_sign([v for v, _ in phi_large],
                           [s for _, s in phi_large])
 
-    h_grids = {}
-    for rho in RHO_SCAN:
-        h_grids[rho] = [h_rho(model, u, rho, cfg.quad_tol, tally)
-                        for u in cfg.large_u_grid]
+    grid = list(cfg.large_u_grid)
+    h_all = _h_values(model, grid * len(RHO_SCAN),
+                      [rho for rho in RHO_SCAN for _ in grid], cfg.quad_tol,
+                      tally)
+    h_grids = {rho: h_all[i * len(grid):(i + 1) * len(grid)]
+               for i, rho in enumerate(RHO_SCAN)}
 
     def bounded_evidence(hs):
         if len(hs) < 3:

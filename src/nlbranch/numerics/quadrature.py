@@ -4,11 +4,15 @@ The engine is a 15-point Kronrod rule with its embedded 7-point Gauss
 estimate: each panel is evaluated once at 15 interior nodes, and the
 absolute difference between the two rules is the panel error estimate.
 Refinement runs in rounds until the summed estimate meets the relative
-tolerance or the evaluation budget runs out.  A round bisects the worst
-panels, in heap order, until the error left in the heap is at most 1/8
-of the target (the batching rule of scipy's ``quad_vec``), and evaluates
-all new halves of one piece in a single call of the integrand, so the
-per-call overhead of numpy is paid once per round, not once per panel.
+tolerance, the target falls below the roundoff floor of the panel sum,
+or the evaluation budget runs out.  A round bisects the worst panels, in
+heap order, until the error left in the heap is at most 1/8 of the
+target (the batching rule of scipy's ``quad_vec``).
+
+A run refines jobs, integrals of f(z, job) over one domain, each as if
+it ran alone, in lockstep rounds: a round evaluates the new panels of
+every unfinished job in one call of the integrand, so numpy's per-call
+overhead is paid once per round, not once per panel or per integral.
 
 Semi-infinite integrands are split at z = 1 and both pieces are
 integrated in logarithmic variables (z = exp(-y) below the split,
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["QuadResult", "QuadTally", "QuadratureError", "integrate_unit",
-           "integrate_semiinfinite", "integrate_truncated"]
+           "integrate_semiinfinite", "integrate_truncated", "integrate_jobs"]
 
 # Kronrod-15 abscissae/weights and the embedded Gauss-7 weights.
 _XGK = np.array([
@@ -71,6 +75,8 @@ _RULES = np.stack([_WK, _WK - _WG15], axis=1)
 _Y_DECLARED = 60.0    # mapped range when an envelope exponent is declared
 _Y_BARE = 460.0       # mapped range without one (needs a decaying integrand)
 _MIN_PANEL_FRACTION = 1e-14  # stop bisecting panels thinner than this
+# roundoff share of the summed |panel values| (QUADPACK's 50 eps floor)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 _IDENTITY, _HEAD, _TAIL = 0, 1, 2
 
@@ -99,7 +105,7 @@ class QuadTally:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the evaluation budget is exhausted before convergence.
+    """Raised when the budget runs out or the target is below roundoff.
 
     The best available estimate is attached as ``partial``.
     """
@@ -109,93 +115,107 @@ class QuadratureError(RuntimeError):
         self.partial = partial
 
 
-def _eval_panels(f, kind, scale, mids, halves):
-    """Kronrod value and Kronrod-minus-Gauss difference, per unit half-width,
-    of the panels mid +- half of one piece, from one call of f on all their
-    nodes."""
-    s = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
-    if kind == _IDENTITY:
-        fx = np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
-    else:
-        # y = -ln(z/scale) on the head, +ln(z/scale) on the tail; dz = z dy
-        z = scale * np.exp(-s if kind == _HEAD else s)
-        fx = np.asarray(f(z.ravel()), dtype=float).reshape(s.shape) * z
-    return (fx @ _RULES).tolist()
+def _evaluate(f, panels):
+    """Value and error estimate of each (job, kind, scale, lo, hi) panel."""
+    job, kind, scale, lo, hi = (np.array(c) for c in zip(*panels))
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    # y = -ln(z/scale) on the head, +ln(z/scale) on the tail; dz = z dy
+    mapped = (kind != _IDENTITY)[:, None]
+    sign = np.where(kind == _HEAD, -1.0, 1.0)[:, None]
+    z = np.where(mapped, scale[:, None] * np.exp(sign * s), s)
+    fx = np.asarray(f(z.ravel(), np.repeat(job, 15)), dtype=float)
+    sums = (fx.reshape(s.shape) * np.where(mapped, z, 1.0)) @ _RULES
+    values, errors = half * sums[:, 0], np.abs(half * sums[:, 1])
+    bad = ~(np.isfinite(values) & np.isfinite(errors))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FloatingPointError(
+            f"integrand returned non-finite values on panel ({lo[i]}, {hi[i]})")
+    return values.tolist(), errors.tolist()
 
 
-def _run_adaptive(f, pieces, tol, budget, base_value=0.0, base_error=0.0):
-    """Refine a list of (kind, scale, lo, hi) pieces under one budget.
+class _Job:
+    """One integral under refinement: its panel heap and running sums."""
 
-    Each round bisects the worst panels until the error left in the heap
-    is at most 1/8 of the target, and evaluates all new halves of one
-    piece in one call of f.
-    """
-    heap = []
-    seq = 0
-    evals = 0
-    frozen_value = base_value
-    frozen_error = base_error
-    live_value = 0.0
-    live_error = 0.0
-    min_width = min((hi - lo) for _, _, lo, hi in pieces) * _MIN_PANEL_FRACTION
+    def __init__(self):
+        self.heap, self.seq, self.evals = [], 0, 0
+        self.frozen_value = self.frozen_error = 0.0   # stubs, retired panels
+        self.live_value = self.live_error = 0.0       # panels in the heap
+        self.mass = 0.0   # summed |value| of the panels
 
-    def push(kind, scale, lows, highs):
-        nonlocal seq, evals, live_value, live_error
-        halves = [0.5 * (b - a) for a, b in zip(lows, highs)]
-        sums = _eval_panels(f, kind, scale,
-                            [0.5 * (a + b) for a, b in zip(lows, highs)],
-                            halves)
-        evals += 15 * len(sums)
-        for a, b, h, (kronrod, gap) in zip(lows, highs, halves, sums):
-            v, e = h * kronrod, abs(h * gap)
-            if not (math.isfinite(v) and math.isfinite(e)):
-                raise FloatingPointError(
-                    f"integrand returned non-finite values on panel ({a}, {b})")
-            heapq.heappush(heap, (-e, seq, kind, scale, a, b, v, e))
-            seq += 1
-            live_value += v
-            live_error += e
-
-    for kind, scale, lo, hi in pieces:
-        push(kind, scale, [lo], [hi])
-
-    while heap:
-        value = frozen_value + live_value
-        err = frozen_error + live_error
+    def split(self, tol, budget, min_width):
+        """The next round's panels, the worst bisected; None once done."""
+        value = self.frozen_value + self.live_value
+        err = self.frozen_error + self.live_error
         target = tol * max(abs(value), 5e-324)
-        if err <= target:
-            break
-        if evals + 30 > budget:
-            result = QuadResult(value, err, evals)
-            raise QuadratureError(
-                f"no convergence within {budget} evaluations "
-                f"(err {err:.3e} vs target {tol * abs(value):.3e})", result)
-        splits = {}   # (kind, scale) -> (lows, highs), in pop order
+        if err <= target or not self.heap:
+            return None
+        floor = _ROUNDOFF * self.mass
+        if target < floor or self.evals + 30 > budget:
+            why = (f"target below the roundoff floor {floor:.3e}"
+                   if target < floor else
+                   f"no convergence within {budget} evaluations")
+            raise QuadratureError(f"{why} (err {err:.3e}, target {target:.3e})",
+                                  QuadResult(value, err, self.evals))
+        splits = {}   # (kind, scale) -> panels, in pop order
         n_split = 0
-        while heap and evals + 30 * (n_split + 1) <= budget:
-            _, _, kind, scale, lo, hi, v, e = heapq.heappop(heap)
-            live_value -= v
-            live_error -= e
+        while self.heap and self.evals + 30 * (n_split + 1) <= budget:
+            _, _, kind, scale, lo, hi, v, e = heapq.heappop(self.heap)
+            self.live_value -= v
+            self.live_error -= e
             if hi - lo < min_width:
                 # panel cannot be meaningfully refined; retire it
-                frozen_value += v
-                frozen_error += e
+                self.frozen_value += v
+                self.frozen_error += e
             else:
+                self.mass -= abs(v)
                 mid = 0.5 * (lo + hi)
-                lows, highs = splits.setdefault((kind, scale), ([], []))
-                lows += [lo, mid]
-                highs += [mid, hi]
+                splits.setdefault((kind, scale), []).extend(
+                    [(kind, scale, lo, mid), (kind, scale, mid, hi)])
                 n_split += 1
-            if live_error <= target / 8:
+            if self.live_error <= target / 8:
                 break
-        for (kind, scale), (lows, highs) in splits.items():
-            push(kind, scale, lows, highs)
+        return [p for group in splits.values() for p in group]
 
-    # deterministic final summation ordered by piece and position
-    segs = sorted(heap, key=lambda it: (it[2], it[4]))
-    value = frozen_value + sum(it[6] for it in segs)
-    err = frozen_error + sum(it[7] for it in segs)
-    return QuadResult(value, err, evals)
+    def result(self):
+        # deterministic final summation ordered by piece and position
+        segs = sorted(self.heap, key=lambda it: (it[2], it[4]))
+        value = self.frozen_value + sum(it[6] for it in segs)
+        err = self.frozen_error + sum(it[7] for it in segs)
+        return QuadResult(value, err, self.evals)
+
+
+def _run_adaptive(f, n_jobs, pieces, stubs, tol, budget):
+    """Refine n_jobs integrals of f(z, job) over the (kind, scale, lo, hi)
+    pieces in lockstep rounds; every job adds the (z_ref, decay) stubs."""
+    jobs = [_Job() for _ in range(n_jobs)]
+    if stubs and jobs:
+        z_ref = np.array([z for z, _ in stubs] * n_jobs)
+        f_ref = np.asarray(f(z_ref, np.repeat(np.arange(n_jobs), len(stubs))),
+                           dtype=float).tolist()
+        for i, (z, decay) in enumerate(stubs * n_jobs):
+            stub = f_ref[i] * z / decay
+            job = jobs[i // len(stubs)]
+            job.frozen_value += stub
+            job.frozen_error += abs(stub) * 1e-13
+    min_width = min((hi - lo) for _, _, lo, hi in pieces) * _MIN_PANEL_FRACTION
+    todo = [pieces] * n_jobs   # each job's next panels, None once it is done
+    while any(t is not None for t in todo):
+        panels = [(j, *piece) for j, t in enumerate(todo) for piece in t or ()]
+        if panels:   # a round that only retires panels evaluates none
+            values, errors = _evaluate(f, panels)
+            for (j, kind, scale, lo, hi), v, e in zip(panels, values, errors):
+                job = jobs[j]
+                heapq.heappush(job.heap,
+                               (-e, job.seq, kind, scale, lo, hi, v, e))
+                job.seq += 1
+                job.evals += 15
+                job.live_value += v
+                job.live_error += e
+                job.mass += abs(v)
+        todo = [job.split(tol, budget, min_width) for job in jobs]
+    return [job.result() for job in jobs]
 
 
 def integrate_unit(f, tol: float = 1e-10, budget: int = 10 ** 6) -> QuadResult:
@@ -204,38 +224,33 @@ def integrate_unit(f, tol: float = 1e-10, budget: int = 10 ** 6) -> QuadResult:
     f must accept a numpy array of interior points; endpoints are never
     sampled, so integrable endpoint singularities are allowed.
     """
-    return _run_adaptive(f, [(_IDENTITY, 1.0, 0.0, 1.0)], tol, budget)
+    return _run_adaptive(lambda z, _: f(z), 1, [(_IDENTITY, 1.0, 0.0, 1.0)],
+                         [], tol, budget)[0]
 
 
-def _power_stub(f, z_ref, decay):
-    """Mass of the envelope C z^p beyond z_ref, from one evaluation there.
-
-    ``decay`` is p+1 on the head side and -(q+1) on the tail side; both
-    reduce to f(z_ref) * z_ref / decay.
-    """
-    f_ref = float(np.asarray(f(np.array([z_ref])), dtype=float)[0])
-    stub = f_ref * z_ref / decay
-    return stub, abs(stub) * 1e-13
-
-
-def _head_piece(f, upper, head_power):
-    if head_power is None:
-        return (_HEAD, upper, 0.0, _Y_BARE), 0.0, 0.0
-    p = float(head_power)
-    if p <= -1.0:
-        raise ValueError("head envelope exponent must be > -1")
-    stub, err = _power_stub(f, upper * np.exp(-_Y_DECLARED), p + 1.0)
-    return (_HEAD, upper, 0.0, _Y_DECLARED), stub, err
-
-
-def _tail_piece(f, lower, tail_power):
-    if tail_power is None:
-        return (_TAIL, lower, 0.0, _Y_BARE), 0.0, 0.0
-    q = float(tail_power)
-    if q >= -1.0:
-        raise ValueError("tail envelope exponent must be < -1")
-    stub, err = _power_stub(f, lower * np.exp(_Y_DECLARED), -(q + 1.0))
-    return (_TAIL, lower, 0.0, _Y_DECLARED), stub, err
+def integrate_jobs(f, n_jobs: int, upper=None, tol: float = 1e-10,
+                   head_power=None, tail_power=None,
+                   budget: int = 10 ** 6) -> list[QuadResult]:
+    """Integrate f(z, job) for job = 0 .. n_jobs-1 over (0, upper], or
+    (0, infinity) if ``upper`` is None, in shared rounds; ``job`` gives the
+    job of each point of z.  See ``integrate_semiinfinite`` for the rest."""
+    if upper is not None and not upper > 0.0:
+        raise ValueError("upper must be positive")
+    pieces, stubs = [], []
+    sides = [(_HEAD, -1.0, 1.0 if upper is None else float(upper), head_power)]
+    if upper is None:
+        sides.append((_TAIL, 1.0, 1.0, tail_power))
+    for kind, sign, scale, power in sides:
+        if power is None:
+            pieces.append((kind, scale, 0.0, _Y_BARE))
+            continue
+        # the envelope C z^p has mass f(z_ref) z_ref / decay beyond z_ref
+        decay = -sign * (float(power) + 1.0)
+        if not decay > 0.0:
+            raise ValueError(f"envelope exponent {power} is not integrable")
+        pieces.append((kind, scale, 0.0, _Y_DECLARED))
+        stubs.append((scale * np.exp(sign * _Y_DECLARED), decay))
+    return _run_adaptive(f, n_jobs, pieces, stubs, tol, budget)
 
 
 def integrate_semiinfinite(f, tol: float = 1e-10, head_power=None,
@@ -248,17 +263,12 @@ def integrate_semiinfinite(f, tol: float = 1e-10, head_power=None,
     infinity; declaring them enables the closed-form corrections that
     exponents near the integrability boundary need (see module docstring).
     """
-    hp, sh, eh = _head_piece(f, 1.0, head_power)
-    tp, st, et = _tail_piece(f, 1.0, tail_power)
-    return _run_adaptive(f, [hp, tp], tol, budget,
-                         base_value=sh + st, base_error=eh + et)
+    return integrate_jobs(lambda z, _: f(z), 1, None, tol, head_power,
+                          tail_power, budget)[0]
 
 
 def integrate_truncated(f, upper: float, tol: float = 1e-10, head_power=None,
                         budget: int = 10 ** 6) -> QuadResult:
     """Integrate f over (0, upper] with the same head treatment."""
-    if upper <= 0.0:
-        raise ValueError("upper must be positive")
-    hp, stub, err = _head_piece(f, float(upper), head_power)
-    return _run_adaptive(f, [hp], tol, budget,
-                         base_value=stub, base_error=err)
+    return integrate_jobs(lambda z, _: f(z), 1, upper, tol, head_power,
+                          budget=budget)[0]

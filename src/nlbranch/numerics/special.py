@@ -46,16 +46,15 @@ def x_minus_log1p(x):
 
     The direct difference loses ~half the significant digits around
     x ~ 1e-8; below the switch point a truncated alternating series keeps
-    full relative accuracy (next omitted term is O(x^8)).
+    full relative accuracy (next omitted term is O(x^8)).  Each element
+    takes one branch only.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-3
-    xs = np.where(small, x, 0.0)
-    series = xs * xs * (1.0 / 2.0 + xs * (-1.0 / 3.0 + xs * (1.0 / 4.0 + xs * (
+    out = np.empty_like(x)
+    xs = x[small]
+    out[small] = xs * xs * (1.0 / 2.0 + xs * (-1.0 / 3.0 + xs * (1.0 / 4.0 + xs * (
         -1.0 / 5.0 + xs * (1.0 / 6.0 + xs * (-1.0 / 7.0))))))
-    with np.errstate(invalid="ignore"):
-        direct = x - np.log1p(np.where(small, 0.0, x))
-    out = np.where(small, series, direct)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    xd = x[~small]
+    out[~small] = xd - np.log1p(xd)
+    return float(out) if out.ndim == 0 else out

@@ -25,6 +25,7 @@ from nlbranch.criteria import (
 )
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, Tabulated, validate
 from nlbranch.numerics import gamma
+from nlbranch.numerics.quadrature import QuadTally
 
 
 def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
@@ -410,3 +411,61 @@ def test_h_rho_scale_linearity():
         hv = h_rho(base, u, rho, 1e-10)
         assert h_rho(scaled, u, rho, 1e-10) == pytest.approx(lam * hv,
                                                              rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched quadrature in the numeric classifier
+
+
+def _tabulated_jump_model(u_max=None):
+    # tabulated drift near u with a critical-order jump rate: the numeric
+    # path, with the k-integrals (and on a cut support the phi moments)
+    # all by quadrature
+    tab = Tabulated(tuple((u, u * (1.0 + 0.05 * math.sin(i)))
+                          for i, u in enumerate(np.logspace(-3, 8, 12))))
+    return validate(ModelSpec(
+        a0=tab, a1=PowerLaw(0.0, 0.0), a2=PowerLaw(1.0 / gamma(1.5), 1.5),
+        a3=PowerLaw(0.0, 0.0), mu=StableMeasure(1.5, u_max=u_max)))
+
+
+@pytest.mark.parametrize("u_max", [None, 5.0])
+def test_classify_batched_values_equal_one_point_calls(u_max):
+    # every grid value and the summed cost of classify's batched runs
+    # equal the one-point calls bit for bit
+    model = _tabulated_jump_model(u_max)
+    cfg = CriteriaConfig()
+    ev = classify(model, cfg).evidence
+    tally = QuadTally()
+    for key, grid in (("phi_small", cfg.small_u_grid),
+                      ("phi_large", cfg.large_u_grid)):
+        assert ev[key] == [[u, phi_with_scale(model, u, cfg.quad_tol, tally)[0]]
+                           for u in grid]
+    k_tally = QuadTally()
+    for rho in RHO_SCAN:
+        assert ev["h_large"][str(rho)] == [
+            [u, h_rho(model, u, rho, cfg.quad_tol, tally)] for u in cfg.large_u_grid]
+        for u, h in ev["h_large"][str(rho)]:
+            k = stable_k_integral(model, u, rho, cfg.quad_tol, k_tally)
+            assert h == float(model.a2(u)) * k
+    assert ev["quad_evaluations"] == tally.evaluations
+    assert ev["quad_worst_rel_error"] == tally.worst_rel_error
+    if u_max is None:
+        assert k_tally.evaluations == tally.evaluations
+
+
+def test_numeric_classify_shares_integrand_calls(monkeypatch):
+    # 32 k-integrals in shared rounds: one kernel call for the envelope
+    # stubs and one per round, against about 13 per integral run alone
+    import nlbranch.criteria as crit
+    calls = []
+    kernel = crit._k_kernel
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(crit, "_k_kernel", counted)
+    rep = classify(_tabulated_jump_model())
+    assert rep.method == "numeric"
+    assert sum(calls) == rep.evidence["quad_evaluations"] + 32
+    assert len(calls) <= 40

@@ -10,7 +10,7 @@ from nlbranch.numerics import (
     integrate_unit,
     x_minus_log1p,
 )
-from nlbranch.numerics.quadrature import integrate_truncated
+from nlbranch.numerics.quadrature import integrate_jobs, integrate_truncated
 
 
 def c_alpha(a):
@@ -108,3 +108,63 @@ def test_x_minus_log1p_used_as_inner_closed_form():
                                tol=1e-13).value
         closed = x_minus_log1p(z / u) / z ** 2
         assert closed == pytest.approx(inner, rel=1e-10)
+
+
+def test_jobs_equal_one_job_runs_and_share_calls():
+    # three integrands refined in lockstep: each equals its own run bit
+    # for bit, evaluations included, and the batch makes no more calls of
+    # f than the longest of those runs
+    a = np.array([0.5, 2.0, 40.0])
+    calls = []
+
+    def f(z, job):
+        calls.append(z.size)
+        return (1.0 + job) * z ** -0.5 * (1.0 + a[job] * z) ** -2.0
+
+    envelope = {"head_power": -0.5, "tail_power": -2.5}
+    for upper, kw in ((None, {}), (None, envelope),
+                      (3.0, {"head_power": -0.5})):
+        calls.clear()
+        batched = integrate_jobs(f, 3, upper, 1e-10, **kw)
+        n_batched = len(calls)
+        n_single = []
+        for j, got in enumerate(batched):
+            calls.clear()
+            one = (lambda z, j=j: f(z, np.full(z.size, j)))
+            ref = (integrate_semiinfinite(one, 1e-10, **kw) if upper is None
+                   else integrate_truncated(one, upper, 1e-10, **kw))
+            assert (got.value, got.abs_error_estimate, got.evaluations) == (
+                ref.value, ref.abs_error_estimate, ref.evaluations)
+            n_single.append(len(calls))
+        assert n_batched == max(n_single) < sum(n_single)
+
+
+def test_budget_error_in_a_job_carries_its_partial():
+    # the smooth job (integral 1) converges, the oscillatory one
+    # (integral about 1/2) runs out of budget and reports its own partial
+    def f(z, job):
+        return np.where(job == 0, 3.0 * z * z, np.sin(500.0 * z) ** 2)
+
+    with pytest.raises(QuadratureError, match="no convergence") as exc:
+        integrate_jobs(f, 2, upper=1.0, tol=1e-13, budget=600)
+    partial = exc.value.partial
+    assert 0 < partial.evaluations <= 600
+    assert partial.value == pytest.approx(0.5, abs=0.2)
+    assert partial.abs_error_estimate > 1e-13 * abs(partial.value)
+
+
+def test_target_below_roundoff_floor_raises_at_once():
+    with pytest.raises(QuadratureError, match="roundoff floor") as exc:
+        integrate_unit(lambda v: np.sin(500.0 * v) ** 2, tol=1e-18)
+    assert exc.value.partial.evaluations < 10 ** 4
+
+
+def test_rounds_that_only_retire_panels_keep_refining():
+    # around an interior singularity panels shrink below the minimum width
+    # and retire, and some rounds retire panels without bisecting any; the
+    # job must go on to its budget, not return unconverged
+    def f(v):
+        return np.abs(v - math.pi / 10.0) ** -0.9
+
+    with pytest.raises(QuadratureError, match="no convergence"):
+        integrate_unit(f, tol=1e-10, budget=200000)

@@ -53,3 +53,29 @@ def _mp_ref(x):
     for k in range(2, 12):
         total += (-1) ** k * x ** k / k
     return total
+
+
+def _x_minus_log1p_both_branches(x):
+    # the earlier form: both branches on every element, then a select
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-3
+    xs = np.where(small, x, 0.0)
+    series = xs * xs * (1.0 / 2.0 + xs * (-1.0 / 3.0 + xs * (1.0 / 4.0 + xs * (
+        -1.0 / 5.0 + xs * (1.0 / 6.0 + xs * (-1.0 / 7.0))))))
+    direct = x - np.log1p(np.where(small, 0.0, x))
+    return np.where(small, series, direct)
+
+
+def test_x_minus_log1p_bitwise_equals_both_branch_form():
+    edge = np.nextafter(1e-3, [0.0, 1.0])
+    xs = np.concatenate([
+        [0.0, -0.0, 1e-3, -1e-3], edge, -edge,
+        np.geomspace(1e-300, 1e-3, 200), -np.geomspace(1e-300, 1e-3, 200),
+        np.linspace(-0.999999, -1e-3, 200), np.geomspace(1e-3, 1e300, 200),
+    ])
+    got = x_minus_log1p(xs)
+    assert got.dtype == float and got.shape == xs.shape
+    assert got.tobytes() == _x_minus_log1p_both_branches(xs).tobytes()
+    assert x_minus_log1p(xs.reshape(8, -1)).tobytes() == got.tobytes()
+    for x in (0.0, 5e-4, -0.5, 7.0):
+        assert x_minus_log1p(x) == float(_x_minus_log1p_both_branches(x))
