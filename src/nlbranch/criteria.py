@@ -47,6 +47,7 @@ __all__ = [
     "k_integral_bounds",
     "h_rho",
     "apply_generator",
+    "generator_values",
     "classify",
     "ln_test_function",
     "linear_test_function",
@@ -102,6 +103,11 @@ class TestFunction:
     second-order combination g(u+z) - g(u) - z g'(u); the default builds
     it from ``jump_delta``, which loses accuracy for z much smaller than u,
     so closed forms matter for tight generator tolerances at large u.
+
+    Every callable acts elementwise on arrays: g, g1 and g2 take an array
+    of states u, and ``jump_delta`` and ``jump_remainder`` take arrays u
+    and z of broadcastable shapes, since ``generator_values`` evaluates
+    all states of a grid or of a step in one call.
     """
     g: Callable
     g1: Callable
@@ -215,14 +221,23 @@ def log_power_test_function(rho: float) -> TestFunction:
         return float(out[0]) if scalar else out
 
     def _delta(u, z):
+        u, z = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(z, dtype=float))
+        out = np.empty(u.shape)
         # for u > 3 both arguments sit on the pure branch and the
         # difference has the cancellation-free form
-        # (ln u)^-rho * expm1(-rho * log1p(log1p(z/u)/ln u))
-        if u > 3.0:
-            lnu = math.log(u)
-            d = np.log1p(np.asarray(z, dtype=float) / u) / lnu
-            return lnu ** -rho * np.expm1(-rho * np.log1p(d))
-        return _piece(u + np.asarray(z, dtype=float), 0) - _piece(u, 0)
+        # (ln u)^-rho * expm1(-rho * log1p(log1p(z/u)/ln u)); ln u and its
+        # power come from scalar math once per distinct state, since
+        # numpy's vectorized log and power can differ in the last bit
+        hi = u > 3.0
+        states, at = np.unique(u[hi], return_inverse=True)
+        lnu = _logs(states.tolist())
+        scale = np.array([v ** -rho for v in lnu.tolist()])
+        d = np.log1p(z[hi] / u[hi]) / lnu[at]
+        out[hi] = scale[at] * np.expm1(-rho * np.log1p(d))
+        lo = ~hi
+        out[lo] = _piece(u[lo] + z[lo], 0) - _piece(u[lo], 0)
+        return out if out.ndim else out[()]
 
     return TestFunction(
         g=lambda u: _piece(u, 0),
@@ -255,25 +270,28 @@ def phi(model: ValidatedModel, u: float, quad_tol: float = 1e-10) -> float:
 
 def _phi_values(model: ValidatedModel, us, quad_tol: float,
                 tally: Optional[QuadTally]) -> List[Tuple[float, float]]:
-    """``phi_with_scale`` at each u; the jump moments share one run."""
-    if any(not u > 0.0 for u in us):
+    """``phi_with_scale`` at each u: each rate is called once on the grid,
+    and the jump moments share one run."""
+    u = np.array(us, dtype=float)
+    if not np.all(u > 0.0):
         raise ValueError("u must be positive")
-    us = [float(u) for u in us]
-    a2 = [float(model.a2(u)) for u in us]
-    jumps = [i for i, v in enumerate(a2) if v != 0.0]
-    moments = dict(zip(jumps, _quadratic_jump_moments(
-        model, [us[i] for i in jumps], quad_tol, tally)))
-    out = []
-    for i, u in enumerate(us):
-        t_drift = -model.a0(u) / u
-        t_diff = 0.5 * model.a1(u) / (u * u)
-        t_jump = a2[i] * moments[i] if i in moments else 0.0
-        t_atoms = 0.0 if model.nu_empty else -float(model.a3(u)) * float(
-            (model.nu_w * np.log1p(model.nu_z / u)).sum())
-        value = t_drift + t_diff + t_jump + t_atoms
-        scale = abs(t_drift) + abs(t_diff) + abs(t_jump) + abs(t_atoms)
-        out.append((float(value), float(scale)))
-    return out
+    a2 = model.a2(u)
+    jumps = np.flatnonzero(a2 != 0.0)
+    t_jump = np.zeros_like(u)
+    t_jump[jumps] = a2[jumps] * np.array(_quadratic_jump_moments(
+        model, u[jumps].tolist(), quad_tol, tally))
+    t_drift = -model.a0(u) / u
+    t_diff = 0.5 * model.a1(u) / (u * u)
+    t_atoms = 0.0 if model.nu_empty else -model.a3(u) * _atom_sums(
+        model, np.log1p(model.nu_z / u[:, None]))
+    value = t_drift + t_diff + t_jump + t_atoms
+    scale = abs(t_drift) + abs(t_diff) + abs(t_jump) + abs(t_atoms)
+    return list(zip(value.tolist(), scale.tolist()))
+
+
+def _atom_sums(model: ValidatedModel, values):
+    """sum_j w_j values[..., j] over the atoms (last axis)."""
+    return (model.nu_w * values).sum(axis=-1)
 
 
 def _quadratic_jump_moments(model: ValidatedModel, us, tol: float,
@@ -363,6 +381,12 @@ def _check_k_points(name, us, rhos):
         raise ValueError("rho must be positive")
 
 
+def _logs(us):
+    """ln u of each state from ``math.log``; numpy's vectorized log can
+    differ from it in the last bit."""
+    return np.array([math.log(v) for v in us])
+
+
 def _k_kernel(z, u, lnu, rho):
     """k_rho elementwise, with lnu = ln u (see ``k_rho``)."""
     d = np.log1p(z / u) / lnu
@@ -392,7 +416,7 @@ def stable_k_integrals(model: ValidatedModel, us, rhos,
     a = model.alpha
     c = model.c_alpha
     u = np.array(us, dtype=float)
-    lnu = np.array([math.log(v) for v in us])
+    lnu = _logs(us)
     rho = np.array(rhos, dtype=float)
 
     def f(z, job):
@@ -433,59 +457,66 @@ def h_rho(model: ValidatedModel, u: float, rho: float,
 
 def _h_values(model: ValidatedModel, us, rhos, tol: float,
               tally: Optional[QuadTally]) -> List[float]:
-    """``h_rho`` at each (u, rho) pair; the k-integrals share one run."""
+    """``h_rho`` at each (u, rho) pair: each rate is called once on the
+    pairs, and the k-integrals share one run."""
     _check_k_points("h_rho", us, rhos)
-    us = [float(u) for u in us]
-    a2 = [float(model.a2(u)) for u in us]
-    jumps = [i for i, v in enumerate(a2) if v != 0.0]
-    ks = dict(zip(jumps, stable_k_integrals(
-        model, [us[i] for i in jumps], [rhos[i] for i in jumps], tol, tally)))
-    out = []
-    for i, (u, rho) in enumerate(zip(us, rhos)):
-        total = 0.5 * float(model.a1(u)) / (u * u)
-        if i in ks:
-            total += a2[i] * ks[i]
-        if not model.nu_empty:
-            total += float(model.a3(u)) * float(
-                (model.nu_w * k_rho(u, model.nu_z, rho)).sum())
-        out.append(total)
-    return out
+    u = np.array(us, dtype=float)
+    rho = np.array(rhos, dtype=float)
+    total = 0.5 * model.a1(u) / (u * u)
+    a2 = model.a2(u)
+    jumps = np.flatnonzero(a2 != 0.0)
+    if jumps.size:
+        total[jumps] += a2[jumps] * np.array(stable_k_integrals(
+            model, u[jumps].tolist(), rho[jumps].tolist(), tol, tally))
+    if not model.nu_empty:
+        k = _k_kernel(model.nu_z, u[:, None], _logs(u.tolist())[:, None],
+                      rho[:, None])
+        total += model.a3(u) * _atom_sums(model, k)
+    return total.tolist()
 
 
 def apply_generator(model: ValidatedModel, g: TestFunction, u: float,
                     quad_tol: float = 1e-10) -> float:
-    """Generator of the process applied to g at state u.
+    """Generator of the process applied to g at state u: the one-state
+    call of ``generator_values``."""
+    return float(generator_values(model, g, [u], quad_tol)[0])
+
+
+def generator_values(model: ValidatedModel, g: TestFunction, us,
+                     quad_tol: float = 1e-10) -> np.ndarray:
+    """Generator of the process applied to g at each state of ``us``.
 
     Drift and diffusion act through g' and g''; the heavy-jump measure is
-    integrated against the second-order remainder g(u+z)-g(u)-z g'(u) and
-    the atomic measure against the plain difference g(u+z)-g(u).
+    integrated against the second-order remainder g(u+z)-g(u)-z g'(u),
+    the integrals of all states in one batched run, and the atomic
+    measure against the plain difference g(u+z)-g(u).  The rates, g1 and
+    g2 are called once on all states, the jump callables of g on all
+    states of a quadrature round.
     """
-    if u <= 0.0:
+    u = np.asarray(us, dtype=float)
+    if np.any(u <= 0.0):
         raise ValueError("u must be positive")
-    u = float(u)
-    total = float(model.a0(u)) * float(g.g1(u)) \
-        + 0.5 * float(model.a1(u)) * float(g.g2(u))
-    a2u = float(model.a2(u))
-    if a2u != 0.0:
+    total = np.asarray(model.a0(u) * g.g1(u) + 0.5 * model.a1(u) * g.g2(u),
+                       dtype=float)
+    a2 = model.a2(u)
+    jumps = np.flatnonzero(a2 != 0.0)
+    if jumps.size:
         a = model.alpha
         c = model.c_alpha
+        uj = u[jumps]
 
-        def f(z):
-            z = np.asarray(z, dtype=float)
-            return np.asarray(g.jump_remainder(u, z), dtype=float) \
+        def f(z, job):
+            return np.asarray(g.jump_remainder(uj[job], z), dtype=float) \
                 * c * z ** (-1.0 - a)
 
-        if model.full_support:
-            # remainder ~ z g'(u) for large z, hence a -alpha tail envelope
-            quad = integrate_semiinfinite(f, quad_tol, head_power=1.0 - a,
-                                          tail_power=-a)
-        else:
-            quad = integrate_truncated(f, model.u_max, quad_tol,
-                                       head_power=1.0 - a)
-        total += a2u * quad.value
+        # on full support the remainder is ~ z g'(u) for large z, hence a
+        # -alpha tail envelope
+        results = integrate_jobs(f, jumps.size, model.u_max, quad_tol,
+                                 head_power=1.0 - a, tail_power=-a)
+        total[jumps] += a2[jumps] * np.array([r.value for r in results])
     if not model.nu_empty:
-        deltas = np.asarray(g.jump_delta(u, model.nu_z), dtype=float)
-        total += float(model.a3(u)) * float((model.nu_w * deltas).sum())
+        deltas = np.asarray(g.jump_delta(u[:, None], model.nu_z), dtype=float)
+        total += model.a3(u) * _atom_sums(model, deltas)
     return total
 
 

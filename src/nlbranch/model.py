@@ -61,12 +61,18 @@ class Tabulated:
     behavior beyond the table must extend it explicitly.
     """
     knots: Tuple[Tuple[float, float], ...]
+    # the knot abscissae and values as arrays, built once
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, column in (("_xs", 0), ("_ys", 1)):
+            arr = np.array([k[column] for k in self.knots])
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __call__(self, u):
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
-        out = np.interp(np.asarray(u, dtype=float), xs, ys)
-        return out
+        return np.interp(np.asarray(u, dtype=float), self._xs, self._ys)
 
     @property
     def is_zero(self) -> bool:

@@ -145,12 +145,18 @@ class StreamBundle:
         Exact (inversion, split in halves) for lam <= 1000; above that a
         rounded normal approximation with matched mean/variance is used.
         """
-        lam = np.asarray(lam, dtype=float)
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+        shape = (self.size,) if idx is None else np.shape(idx)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), shape)
+        top = lam.max(initial=0.0)
+        # a nan fails the min, an infinite rate the max
+        if not (lam.min(initial=0.0) >= 0.0 and top < np.inf):
             raise ValueError("poisson rate must be finite and >= 0")
+        if top <= _POISSON_SPLIT:
+            # one piece per lane: every selected lane draws, none gathered
+            return _poisson_inversion(lam, self.uniforms(idx))
+
         idx_arr = np.arange(self.size) if idx is None else np.asarray(idx)
-        lam = np.broadcast_to(lam, idx_arr.shape).astype(float)
-        out = np.zeros(idx_arr.shape, dtype=np.int64)
+        out = np.zeros(shape, dtype=np.int64)
 
         exact = lam <= _POISSON_EXACT_MAX
         two_piece = exact & (lam > _POISSON_SPLIT)
@@ -176,7 +182,8 @@ def _poisson_inversion(lam, u):
     p = np.exp(-lam)
     cdf = p.copy()
     k = np.zeros(lam.shape, dtype=np.int64)
-    k_max = int(np.max(lam) + 40.0 * np.sqrt(np.max(lam) + 1.0) + 25.0)
+    top = lam.max(initial=0.0)
+    k_max = int(top + 40.0 * np.sqrt(top + 1.0) + 25.0)
     active = u > cdf
     while np.any(active):
         k[active] += 1

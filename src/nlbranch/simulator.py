@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import TestFunction, apply_generator
+from .criteria import TestFunction, generator_values
 from .model import PowerLaw, StableMeasure, ValidatedModel
 from .numerics.rng import RngStream, StreamBundle
 
@@ -478,21 +478,10 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
 
 
 def _generator_values(model, g, u_vec, quad_tol):
-    """Generator of g at a vector of states (left-endpoint evaluation)."""
-    u_vec = np.asarray(u_vec, dtype=float)
-    spec = model.spec
-    if not spec.a2.is_zero:
-        # heavy jumps need one quadrature per distinct state
-        return np.array([apply_generator(model, g, float(u), quad_tol)
-                         for u in u_vec])
-    vals = np.asarray(model.a0(u_vec) * g.g1(u_vec)
-                      + 0.5 * model.a1(u_vec) * g.g2(u_vec), dtype=float)
-    if not model.nu_empty and not spec.a3.is_zero:
-        acc = np.zeros_like(u_vec)
-        for z, w in zip(model.nu_z, model.nu_w):
-            acc += w * np.asarray(g.jump_delta(u_vec, z), dtype=float)
-        vals = vals + np.asarray(model.a3(u_vec), dtype=float) * acc
-    return vals
+    """Generator of g at a vector of states (left-endpoint evaluation):
+    ``criteria.generator_values``, so the heavy-jump integrals of all
+    lanes share one quadrature run per step."""
+    return generator_values(model, g, u_vec, quad_tol)
 
 
 def step(state: PathState, model: ValidatedModel, cfg: SimConfig,

@@ -12,6 +12,7 @@ from nlbranch.criteria import (
     Verdict,
     apply_generator,
     classify,
+    generator_values,
     h_rho,
     k_integral_bounds,
     k_rho,
@@ -469,3 +470,119 @@ def test_numeric_classify_shares_integrand_calls(monkeypatch):
     assert rep.method == "numeric"
     assert sum(calls) == rep.evidence["quad_evaluations"] + 32
     assert len(calls) <= 40
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation: each rate called once per grid
+
+
+CUT_WITH_ATOMS = dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
+                      b3=0.7, r3=1.0, u_max=5.0,
+                      atoms=((8.0, 0.5), (12.0, 0.3), (20.0, 0.2)))
+
+
+def _phi_values_per_point(model, us, tol):
+    """The drift index one state at a time, each rate called per point."""
+    import nlbranch.criteria as crit
+    moments = crit._quadratic_jump_moments(model, us, tol, None)
+    out = []
+    for u, moment in zip(us, moments):
+        a2 = float(model.a2(u))
+        t_drift = -model.a0(u) / u
+        t_diff = 0.5 * model.a1(u) / (u * u)
+        t_jump = a2 * moment if a2 != 0.0 else 0.0
+        t_atoms = 0.0 if model.nu_empty else -float(model.a3(u)) * float(
+            (model.nu_w * np.log1p(model.nu_z / u)).sum())
+        out.append((float(t_drift + t_diff + t_jump + t_atoms),
+                    float(abs(t_drift) + abs(t_diff) + abs(t_jump)
+                          + abs(t_atoms))))
+    return out
+
+
+def _h_values_per_point(model, us, rhos, tol):
+    """The fluctuation functional one (u, rho) pair at a time."""
+    out = []
+    for u, rho in zip(us, rhos):
+        total = 0.5 * float(model.a1(u)) / (u * u)
+        a2 = float(model.a2(u))
+        if a2 != 0.0:
+            total += a2 * stable_k_integral(model, u, rho, tol)
+        if not model.nu_empty:
+            total += float(model.a3(u)) * float(
+                (model.nu_w * k_rho(u, model.nu_z, rho)).sum())
+        out.append(total)
+    return out
+
+
+def _grid_models():
+    # a2 vanishes below u = 1 on the last one, so part of its grid has
+    # no jump term
+    tab_a2 = Tabulated(((1e-3, 0.0), (1.0, 0.0), (1e8, 3e11)))
+    return [make_model(**JUMP_CRITICAL), make_model(**MIXED_CRITICAL),
+            _tabulated_jump_model(), _tabulated_jump_model(5.0),
+            make_model(**CUT_WITH_ATOMS),
+            validate(ModelSpec(a0=PowerLaw(1.0, 1.0), a1=PowerLaw(0.0, 0.0),
+                               a2=tab_a2, a3=PowerLaw(0.5, 0.0),
+                               mu=StableMeasure(1.5, u_max=5.0),
+                               nu=FiniteMeasure(((9.0, 0.4),))))]
+
+
+def test_grid_values_equal_per_point_loops():
+    import nlbranch.criteria as crit
+    cfg = CriteriaConfig()
+    us = [*cfg.small_u_grid, *cfg.large_u_grid]
+    h_us = list(cfg.large_u_grid) * len(RHO_SCAN)
+    h_rhos = [rho for rho in RHO_SCAN for _ in cfg.large_u_grid]
+    for model in _grid_models():
+        assert crit._phi_values(model, us, cfg.quad_tol, None) \
+            == _phi_values_per_point(model, us, cfg.quad_tol)
+        assert crit._h_values(model, h_us, h_rhos, cfg.quad_tol, None) \
+            == _h_values_per_point(model, h_us, h_rhos, cfg.quad_tol)
+
+
+def test_symbolic_classify_calls_each_rate_once(monkeypatch):
+    calls = []
+    rate = PowerLaw.__call__
+
+    def counted(self, u):
+        calls.append(np.size(u))
+        return rate(self, u)
+
+    monkeypatch.setattr(PowerLaw, "__call__", counted)
+    cfg = CriteriaConfig()
+    rep = classify(make_model(**MIXED_CRITICAL), cfg)
+    assert rep.method == "symbolic"
+    assert len(calls) <= 4
+    assert set(calls) == {len(cfg.small_u_grid) + len(cfg.large_u_grid)}
+
+
+@pytest.mark.parametrize("params", [JUMP_CRITICAL, MIXED_CRITICAL,
+                                    CUT_WITH_ATOMS])
+def test_generator_values_equal_one_state_calls(params):
+    from nlbranch.criteria import TestFunction
+    m = make_model(**params)
+    us = np.array([0.5, 2.5, 3.0, 3.5, 7.0, 40.0, 1e3, 1e6])
+    difference = TestFunction(g=np.sqrt, g1=lambda u: 0.5 / np.sqrt(u),
+                              g2=lambda u: -0.25 / (u * np.sqrt(u)))
+    for g in (ln_test_function(), linear_test_function(), difference,
+              log_power_test_function(1.0)):
+        assert generator_values(m, g, us, 1e-8).tolist() \
+            == [apply_generator(m, g, u, 1e-8) for u in us]
+
+
+def test_log_power_jump_delta_is_elementwise():
+    # on the pure branch ln u and its power come from scalar math, as in
+    # the one-state closed form; below u = 3 the plain difference
+    rho = 1.5
+    g = log_power_test_function(rho)
+    us = np.array([1.0, 2.5, 3.0, 3.5, 10.0, 1e3, 1e6])
+    z = np.array([1e-9, 0.3, 2.0, 8.0, 12.0, 1e4])
+    deltas = g.jump_delta(us[:, None], z)
+    for row, u in zip(deltas, us):
+        if u > 3.0:
+            lnu = math.log(u)
+            ref = lnu ** -rho * np.expm1(-rho * np.log1p(np.log1p(z / u) / lnu))
+        else:
+            ref = g.g(u + z) - g.g(u)
+        assert row.tolist() == ref.tolist()
+    assert g.jump_delta(10.0, 2.0) == deltas[4, 2]

@@ -79,6 +79,20 @@ def test_tabulated_validation_and_clamping():
     assert m.a1(5.5) == pytest.approx(3.0)
 
 
+def test_tabulated_evaluates_through_stored_knot_arrays():
+    knots = tuple((u, u * (1.0 + 0.1 * np.sin(i)))
+                  for i, u in enumerate(np.logspace(-3.0, 8.0, 12)))
+    tab = Tabulated(knots)
+    u = np.logspace(-4.0, 9.0, 57)
+    ref = np.interp(u, np.array([k[0] for k in knots]),
+                    np.array([k[1] for k in knots]))
+    assert tab(u).tolist() == ref.tolist()
+    assert [tab(v) for v in u.tolist()] == ref.tolist()
+    assert tab == Tabulated(knots) and hash(tab) == hash(Tabulated(knots))
+    with pytest.raises(ValueError):
+        tab._xs[0] = 0.0
+
+
 def test_rates_finite_on_wide_range():
     m = validate(make_spec(b1=2.0, r1=2.0, b2=0.5, r2=1.5))
     u = np.logspace(-12, 12, 100)

@@ -148,3 +148,28 @@ def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
     assert np.array_equal(bundle.counters(), ref.counters())
     with pytest.raises(ValueError):
         bundle.put(np.array([0, 1]), sub)
+
+
+def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
+    # idx=None and the same lanes by index give the same counts and
+    # counters, with rates on the one-piece, the split and the normal
+    # branch
+    small = np.concatenate([np.linspace(0.0, 3.0, 40), np.full(8, 0.02)])
+    rates = np.concatenate([small, np.linspace(501.0, 999.0, 8),
+                            np.linspace(1001.0, 5e4, 8)])
+    for lam in (small, rates):
+        n = lam.size
+        whole, indexed = (StreamBundle(19, np.arange(n)) for _ in range(2))
+        for _ in range(5):
+            assert np.array_equal(whole.poissons(lam),
+                                  indexed.poissons(lam, np.arange(n)))
+        assert np.array_equal(whole.counters(), indexed.counters())
+    # one word per lane below the split, two on it, one above 1000
+    assert np.array_equal(whole.counters(), [5] * 48 + [10] * 8 + [5] * 8)
+    # a lane draws the same count whether or not larger rates share the call
+    alone = StreamBundle(19, np.arange(small.size))
+    mixed = StreamBundle(19, np.arange(rates.size))
+    for _ in range(5):
+        assert np.array_equal(alone.poissons(small),
+                              mixed.poissons(rates)[:small.size])
+    assert np.array_equal(alone.counters(), mixed.counters()[:small.size])
