@@ -377,7 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the numeric-failure code
+        if exc.code == 0:   # --help
+            raise
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except (ConfigError, ValidationError, FileNotFoundError) as exc:

@@ -7,12 +7,16 @@ literals or as one of the two expressions "gamma(alpha)" and
 "b0/gamma(alpha)", which make the critical coefficient relation exactly
 representable without decimal truncation.  No other expressions are
 accepted.
+
+The keys of [sim] and [criteria] are the fields of ``SimConfig`` and
+``CriteriaConfig``, with their defaults; [mc] and [output] set
+``RunConfig`` fields.  A section or key that nothing reads is an error.
 """
 
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .criteria import CriteriaConfig
@@ -36,7 +40,8 @@ class ConfigError(ValueError):
     """Configuration failure carrying the section/key it came from."""
 
     def __init__(self, section: str, key: str, message: str):
-        super().__init__(f"[{section}] {key}: {message}")
+        where = f"[{section}] {key}" if key else f"[{section}]"
+        super().__init__(f"{where}: {message}")
         self.section = section
         self.key = key
 
@@ -46,12 +51,26 @@ class RunConfig:
     model: ValidatedModel
     sim: SimConfig
     criteria: CriteriaConfig
-    n_paths: int
-    seed: int
-    threads: int
-    output_path: Optional[str]
-    output_format: str
+    n_paths: int = 10000
+    seed: int = 1
+    threads: int = 1
+    output_path: Optional[str] = None
+    output_format: str = "json"
     model_params: Dict = field(default_factory=dict)
+
+
+# every settings section: the dataclass whose fields it sets, and the
+# field each of its keys names
+_SECTIONS = {
+    "sim": (SimConfig, {f.name: f.name for f in fields(SimConfig)}),
+    "mc": (RunConfig, {"n_paths": "n_paths", "seed": "seed",
+                       "threads": "threads"}),
+    "criteria": (CriteriaConfig,
+                 {f.name: f.name for f in fields(CriteriaConfig)}),
+    "output": (RunConfig, {"path": "output_path", "format": "output_format"}),
+}
+_MODEL_SECTIONS = ("model", "model.a0", "model.a1", "model.a2", "model.a3",
+                   "model.nu")
 
 
 def _get(cp, section, key, default=None, required=False):
@@ -60,6 +79,13 @@ def _get(cp, section, key, default=None, required=False):
     if required:
         raise ConfigError(section, key, "missing required value")
     return default
+
+
+def _check_keys(cp, section, known):
+    for key in cp.options(section):
+        if key not in known:
+            raise ConfigError(section, key,
+                              "unknown key; known: " + ", ".join(known))
 
 
 def _as_float(section, key, raw):
@@ -85,6 +111,44 @@ def _as_bool(section, key, raw):
     raise ConfigError(section, key, f"not a boolean: {raw!r}")
 
 
+def _as_float_tuple(section, key, raw):
+    try:
+        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(section, key, f"not a list of numbers: {raw!r}")
+
+
+# the value of a settings key, converted by the type of its field
+_CONVERTERS = {
+    float: _as_float,
+    int: _as_int,
+    bool: _as_bool,
+    str: lambda section, key, raw: raw,
+    Optional[str]: lambda section, key, raw: raw or None,
+    Tuple[float, ...]: _as_float_tuple,
+}
+
+
+def _read_section(cp, section) -> Dict:
+    """Keyword arguments from the keys ``section`` sets, by field name."""
+    cls, keys = _SECTIONS[section]
+    if not cp.has_section(section):
+        return {}
+    _check_keys(cp, section, keys)
+    types = {f.name: f.type for f in fields(cls)}
+    return {keys[key]: _CONVERTERS[types[keys[key]]](section, key, raw.strip())
+            for key, raw in cp.items(section)}
+
+
+def _build(cp, section):
+    cls, _ = _SECTIONS[section]
+    kwargs = _read_section(cp, section)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(section, "", str(exc)) from exc
+
+
 def _resolve_coefficient(section, raw, alpha, b0):
     """Literal float, 'gamma(alpha)', or 'b0/gamma(alpha)'."""
     text = str(raw).strip().lower().replace(" ", "")
@@ -105,11 +169,13 @@ def _parse_rate(cp, section, alpha, b0=None, required=False):
         return PowerLaw(0.0, 0.0)
     kind = _get(cp, section, "type", default="powerlaw").lower()
     if kind == "powerlaw":
+        _check_keys(cp, section, ("type", "b", "r"))
         b = _resolve_coefficient(section, _get(cp, section, "b", required=True),
                                  alpha, b0)
         r = _as_float(section, "r", _get(cp, section, "r", required=True))
         return PowerLaw(b, r)
     if kind == "tabulated":
+        _check_keys(cp, section, ("type", "knots"))
         raw = _get(cp, section, "knots", required=True)
         knots = []
         for item in raw.replace(",", " ").split():
@@ -126,6 +192,7 @@ def _parse_rate(cp, section, alpha, b0=None, required=False):
 def _parse_atoms(cp):
     if not cp.has_section("model.nu"):
         return FiniteMeasure(())
+    _check_keys(cp, "model.nu", ("atoms",))
     raw = _get(cp, "model.nu", "atoms", default="")
     atoms: List[Tuple[float, float]] = []
     for item in raw.replace(",", " ").split():
@@ -138,22 +205,22 @@ def _parse_atoms(cp):
     return FiniteMeasure(tuple(atoms))
 
 
-def _parse_grid_list(section, key, raw):
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(section, key, f"not a list of numbers: {raw!r}")
-
-
 def parse_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no default section: a [DEFAULT] header is one more unknown section
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("", "", f"parse failure: {exc}") from exc
+    for section in cp.sections():
+        if section not in _SECTIONS and section not in _MODEL_SECTIONS:
+            raise ConfigError(section, "", "unknown section; a run file has "
+                              + ", ".join((*_MODEL_SECTIONS, *_SECTIONS)))
 
     if not cp.has_section("model"):
         raise ConfigError("model", "", "missing required section")
+    _check_keys(cp, "model", ("alpha", "u_max"))
     alpha = _as_float("model", "alpha", _get(cp, "model", "alpha", required=True))
     u_max_raw = _get(cp, "model", "u_max", default="inf")
     u_max = None
@@ -180,61 +247,12 @@ def parse_config_text(text: str) -> RunConfig:
         section = "model.nu" if key == "atoms" else "model"
         raise ConfigError(section, key, str(exc)) from exc
 
-    sim_kwargs = dict(
-        dt=_as_float("sim", "dt", _get(cp, "sim", "dt", default="1e-3")),
-        eps_cut=_as_float("sim", "eps_cut",
-                          _get(cp, "sim", "eps_cut", default="1e-4")),
-        horizon_t=_as_float("sim", "horizon_t",
-                            _get(cp, "sim", "horizon_t", default="1.0")),
-        floor_zero=_as_float("sim", "floor_zero",
-                             _get(cp, "sim", "floor_zero", default="0.0")),
-        adaptive=_as_bool("sim", "adaptive",
-                          _get(cp, "sim", "adaptive", default="false")),
-        eps_rule=_get(cp, "sim", "eps_rule", default="absolute"),
-    )
-    # keys left out of the run file take SimConfig's own defaults
-    cap_raw = _get(cp, "sim", "cap_b", default=None)
-    if cap_raw is not None:
-        sim_kwargs["cap_b"] = _as_float("sim", "cap_b", cap_raw)
-    budget_raw = _get(cp, "sim", "step_budget", default=None)
-    if budget_raw is not None:
-        sim_kwargs["step_budget"] = _as_int("sim", "step_budget", budget_raw)
-    try:
-        sim = SimConfig(**sim_kwargs)
-    except ValueError as exc:
-        raise ConfigError("sim", "", str(exc)) from exc
-
-    crit_kwargs = {}
-    if cp.has_section("criteria"):
-        if cp.has_option("criteria", "rho"):
-            crit_kwargs["rho"] = _as_float("criteria", "rho",
-                                           _get(cp, "criteria", "rho"))
-        if cp.has_option("criteria", "quad_tol"):
-            crit_kwargs["quad_tol"] = _as_float(
-                "criteria", "quad_tol", _get(cp, "criteria", "quad_tol"))
-        if cp.has_option("criteria", "small_u_grid"):
-            crit_kwargs["small_u_grid"] = _parse_grid_list(
-                "criteria", "small_u_grid", _get(cp, "criteria", "small_u_grid"))
-        if cp.has_option("criteria", "large_u_grid"):
-            crit_kwargs["large_u_grid"] = _parse_grid_list(
-                "criteria", "large_u_grid", _get(cp, "criteria", "large_u_grid"))
-    try:
-        criteria = CriteriaConfig(**crit_kwargs)
-    except ValueError as exc:
-        raise ConfigError("criteria", "", str(exc)) from exc
-
-    n_paths = _as_int("mc", "n_paths", _get(cp, "mc", "n_paths", default="10000"))
-    seed = _as_int("mc", "seed", _get(cp, "mc", "seed", default="1"))
-    threads = _as_int("mc", "threads", _get(cp, "mc", "threads", default="1"))
-
-    output_path = _get(cp, "output", "path", default=None) or None
-    output_format = (_get(cp, "output", "format", default="json") or "json").lower()
-    if output_format not in ("json", "csv"):
-        raise ConfigError("output", "format", f"must be json or csv")
-
-    rc = RunConfig(model=model, sim=sim, criteria=criteria, n_paths=n_paths,
-                   seed=seed, threads=threads, output_path=output_path,
-                   output_format=output_format)
+    rc = RunConfig(model=model, sim=_build(cp, "sim"),
+                   criteria=_build(cp, "criteria"),
+                   **_read_section(cp, "mc"), **_read_section(cp, "output"))
+    rc.output_format = rc.output_format.lower()
+    if rc.output_format not in ("json", "csv"):
+        raise ConfigError("output", "format", "must be json or csv")
     rc.model_params = _describe_model(model)
     return rc
 
@@ -274,27 +292,12 @@ def config_echo(rc: RunConfig) -> Dict:
     Re-parsing the echo (see ``echo_to_ini``) reproduces the validated
     model exactly.
     """
-    return {
-        "model": rc.model_params,
-        "sim": {
-            "dt": rc.sim.dt,
-            "eps_cut": rc.sim.eps_cut,
-            "eps_rule": rc.sim.eps_rule,
-            "horizon_t": rc.sim.horizon_t,
-            "cap_b": rc.sim.cap_b,
-            "floor_zero": rc.sim.floor_zero,
-            "adaptive": rc.sim.adaptive,
-            "step_budget": rc.sim.step_budget,
-        },
-        "mc": {"n_paths": rc.n_paths, "seed": rc.seed, "threads": rc.threads},
-        "criteria": {
-            "rho": rc.criteria.rho,
-            "quad_tol": rc.criteria.quad_tol,
-            "small_u_grid": list(rc.criteria.small_u_grid),
-            "large_u_grid": list(rc.criteria.large_u_grid),
-        },
-        "output": {"path": rc.output_path, "format": rc.output_format},
-    }
+    def table(section):
+        return {key: getattr(rc, name)
+                for key, name in _SECTIONS[section][1].items()}
+
+    return {"model": rc.model_params, "sim": asdict(rc.sim), "mc": table("mc"),
+            "criteria": asdict(rc.criteria), "output": table("output")}
 
 
 def _rate_to_ini(name: str, desc: Dict, out: io.StringIO) -> None:
@@ -309,6 +312,16 @@ def _rate_to_ini(name: str, desc: Dict, out: io.StringIO) -> None:
         out.write(f"knots = {pairs}\n\n")
 
 
+def _ini_value(val) -> str:
+    if val is None:
+        return ""
+    if isinstance(val, str):
+        return val
+    if isinstance(val, (list, tuple)):
+        return " ".join(repr(v) for v in val)
+    return repr(val)
+
+
 def echo_to_ini(echo: Dict) -> str:
     """Serialize a config echo back to INI text that re-parses identically."""
     out = io.StringIO()
@@ -321,23 +334,9 @@ def echo_to_ini(echo: Dict) -> str:
     atoms = m["nu"]["atoms"]
     out.write("[model.nu]\n")
     out.write("atoms = " + " ".join(f"{z!r}:{w!r}" for z, w in atoms) + "\n\n")
-    s = echo["sim"]
-    out.write("[sim]\n")
-    for key in ("dt", "eps_cut", "horizon_t", "cap_b",
-                "floor_zero", "adaptive", "step_budget"):
-        out.write(f"{key} = {s[key]!r}\n")
-    out.write(f"eps_rule = {s['eps_rule']}\n")
-    out.write("\n[mc]\n")
-    for key, val in echo["mc"].items():
-        out.write(f"{key} = {val!r}\n")
-    c = echo["criteria"]
-    out.write("\n[criteria]\n")
-    out.write(f"rho = {c['rho']!r}\n")
-    out.write(f"quad_tol = {c['quad_tol']!r}\n")
-    out.write("small_u_grid = " + " ".join(repr(v) for v in c["small_u_grid"]) + "\n")
-    out.write("large_u_grid = " + " ".join(repr(v) for v in c["large_u_grid"]) + "\n")
-    o = echo["output"]
-    out.write("\n[output]\n")
-    out.write(f"path = {o['path'] or ''}\n")
-    out.write(f"format = {o['format']}\n")
+    for section in _SECTIONS:
+        out.write(f"[{section}]\n")
+        for key, val in echo[section].items():
+            out.write(f"{key} = {_ini_value(val)}\n")
+        out.write("\n")
     return out.getvalue()

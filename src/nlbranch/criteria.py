@@ -74,14 +74,11 @@ class InfinityBehavior(str, Enum):
 @dataclass
 class CriteriaConfig:
     """Evaluation grids and tolerances for the classifier."""
-    rho: float = 1.0
     small_u_grid: Tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     large_u_grid: Tuple[float, ...] = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
         if len(self.small_u_grid) == 0 or len(self.large_u_grid) == 0:
             raise ValueError("evaluation grids must be nonempty")
         if any(b >= a for a, b in zip(self.small_u_grid, self.small_u_grid[1:])):
@@ -599,7 +596,7 @@ def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRe
         "phi_sign_near_infinity": sign_inf,
         "h_bounded": h_bounded,
         "h_superlogarithmic": h_superlog,
-        "rho": cfg.rho,
+        "rho": None,
         "phi_small": [[u, v] for u, (v, _) in zip(cfg.small_u_grid, phi_small)],
         "phi_large": [[u, v] for u, (v, _) in zip(cfg.large_u_grid, phi_large)],
     }
@@ -693,7 +690,7 @@ def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRep
         "phi_sign_near_infinity": sign_inf,
         "h_large": {str(r): [[u, h] for u, h in zip(cfg.large_u_grid, hs)]
                     for r, hs in h_grids.items()},
-        "rho": rho_used if rho_used is not None else cfg.rho,
+        "rho": rho_used,
         "quad_evaluations": tally.evaluations,
         "quad_worst_rel_error": tally.worst_rel_error,
     }

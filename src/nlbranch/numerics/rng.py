@@ -178,20 +178,26 @@ class StreamBundle:
 
 
 def _poisson_inversion(lam, u):
-    """Sequential-search inversion; consumes exactly one uniform per lane."""
-    p = np.exp(-lam)
-    cdf = p.copy()
+    """Sequential-search inversion; consumes exactly one uniform per lane.
+
+    Only the lanes with u above P(0) = exp(-lam) search, held compacted:
+    at small rates that is a few of them.
+    """
     k = np.zeros(lam.shape, dtype=np.int64)
+    p = np.exp(-lam)
+    (idx,) = np.nonzero(u > p)
     top = lam.max(initial=0.0)
     k_max = int(top + 40.0 * np.sqrt(top + 1.0) + 25.0)
-    active = u > cdf
-    while np.any(active):
-        k[active] += 1
-        p[active] *= lam[active] / k[active]
-        cdf[active] += p[active]
-        active &= u > cdf
-        if np.max(k) > k_max:
-            break
+    lam, u, p = lam[idx], u[idx], p[idx]
+    cdf = p.copy()
+    n = 0
+    while idx.size and n <= k_max:
+        n += 1
+        p *= lam / n
+        cdf += p
+        k[idx] = n
+        more = u > cdf
+        idx, lam, u, p, cdf = idx[more], lam[more], u[more], p[more], cdf[more]
     return k
 
 

@@ -4,41 +4,18 @@ import math
 
 import numpy as np
 
-# Lanczos approximation, g = 7, 9 terms.  Gives ~1e-15 relative accuracy on
-# the positive axis, far inside the 1e-12 contract for arguments in (0, 3].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
     """Gamma function for x > 0.
 
-    Raises ValueError for nonpositive or non-finite arguments.  Callers in
-    this package only need (0, 3], but the approximation is valid on the
-    whole positive axis.
+    Raises ValueError for nonpositive or non-finite arguments;
+    ``math.gamma`` alone accepts negative non-integers and passes inf
+    and nan through.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # recurrence keeps the Lanczos series in its sweet spot
-        return gamma(x + 1.0) / x
-    y = x - 1.0
-    acc = _LANCZOS_COEFS[0]
-    for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
-        acc += c / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def x_minus_log1p(x):

@@ -81,6 +81,18 @@ def test_parse_config_resolves_expressions():
     assert critical_deficit(rc.model).is_critical
 
 
+# a key nothing reads: (run file, section, key) of the error
+UNREAD_KEYS = [
+    (GBM_CONFIG.replace("horizon_t = 2.0", "horizon = 4.0"), "sim", "horizon"),
+    (GBM_CONFIG.replace("adaptive = true", "adaptve = true"), "sim", "adaptve"),
+    (GBM_CONFIG + "\n[simulation]\ndt = 1e-3\n", "simulation", ""),
+    (GBM_CONFIG + "\n[criteria]\nrho = 3.0\n", "criteria", "rho"),
+    (GBM_CONFIG.replace("[model.a1]\ntype = powerlaw\n",
+                        "[model.a1]\ntype = powerlaw\nknots = 1:2\n"),
+     "model.a1", "knots"),
+]
+
+
 def test_parse_config_field_precise_errors():
     with pytest.raises(ConfigError) as exc:
         parse_config_text(GBM_CONFIG.replace("alpha = 1.5", "alpha = wide"))
@@ -88,16 +100,58 @@ def test_parse_config_field_precise_errors():
     with pytest.raises(ConfigError) as exc:
         parse_config_text(GBM_CONFIG.replace("alpha = 1.5", "alpha = 2.0"))
     assert "alpha" in str(exc.value)
+    for text, section, key in UNREAD_KEYS:
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert (exc.value.section, exc.value.key) == (section, key)
+        assert f"[{section}]" in str(exc.value) and key in str(exc.value)
+
+
+# every [sim], [mc], [criteria] and [output] key away from its default
+ALL_KEYS_CONFIG = GBM_CONFIG.replace("""
+[sim]
+dt = 1e-2
+eps_cut = 1e-4
+horizon_t = 2.0
+adaptive = true
+""", """
+[sim]
+dt = 2e-3
+eps_cut = 5e-4
+horizon_t = 3.0
+cap_b = 1e12
+floor_zero = 1e-9
+adaptive = yes
+eps_rule = relative
+step_budget = 12345
+""").replace("format = json", """path = rows.csv
+format = CSV
+
+[criteria]
+small_u_grid = 0.5, 0.05, 0.005
+large_u_grid = 20 200 2000
+quad_tol = 1e-9
+""")
 
 
 def test_config_round_trip():
-    rc = parse_config_text(JUMP_CONFIG)
-    rc2 = parse_config_text(echo_to_ini(config_echo(rc)))
-    assert rc2.model.spec == rc.model.spec
-    assert rc2.sim == rc.sim
-    assert rc2.criteria == rc.criteria
-    assert (rc2.n_paths, rc2.seed, rc2.threads) == \
-        (rc.n_paths, rc.seed, rc.threads)
+    from dataclasses import fields
+    every = parse_config_text(ALL_KEYS_CONFIG)
+    for section in (every.sim, every.criteria):
+        for f in fields(section):
+            assert getattr(section, f.name) != f.default, f.name
+    assert (every.n_paths, every.seed, every.threads, every.output_path,
+            every.output_format) == (400, 77, 1, "rows.csv", "csv")
+    for text in (JUMP_CONFIG, ALL_KEYS_CONFIG):
+        rc = parse_config_text(text)
+        echo = json.loads(json.dumps(config_echo(rc)))
+        rc2 = parse_config_text(echo_to_ini(echo))
+        assert rc2.model.spec == rc.model.spec
+        assert rc2.sim == rc.sim
+        assert rc2.criteria == rc.criteria
+        assert (rc2.n_paths, rc2.seed, rc2.threads, rc2.output_path,
+                rc2.output_format) == (rc.n_paths, rc.seed, rc.threads,
+                                       rc.output_path, rc.output_format)
 
 
 def test_config_default_cap_is_the_simulator_default():
@@ -118,6 +172,7 @@ def test_cli_classify_gbm(tmp_path, capsys):
     assert rep["results"]["infinity_behavior"] == "stays_infinite"
     assert rep["results"]["no_extinction"] == "holds"
     assert rep["config"]["model"]["a1"]["b"] == 2.0
+    assert rep["results"]["evidence"]["rho"] is None   # symbolic: no rho
     assert "wall_clock_s" in rep and "versions" in rep
 
 
@@ -131,10 +186,22 @@ def test_cli_classify_comes_down(tmp_path):
     assert rep["results"]["infinity_behavior"] == "comes_down_from_infinity"
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "bad.ini", GBM_CONFIG.replace("1.5", "2.5"))
     assert main(["classify", "--config", cfg]) == 1
     assert main(["classify", "--config", str(tmp_path / "missing.ini")]) == 1
+    for text, section, key in UNREAD_KEYS:
+        cfg = write(tmp_path, "unread.ini", text)
+        assert main(["classify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err and key in err
+
+
+def test_cli_usage_error_exit_code(capsys):
+    # 2 is reserved for numeric failures
+    assert main(["classify"]) == 1
+    assert main(["classfy", "--config", "run.ini"]) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_passage_gbm(tmp_path):
@@ -310,6 +377,7 @@ def test_cli_classify_cut_support(tmp_path):
     results = json.loads(open(out).read())["results"]
     assert results["method"] == "numeric"
     assert results["infinity_behavior"] == "stays_infinite"
+    assert results["evidence"]["rho"] in (0.5, 1.0, 2.0, 4.0)
     assert results["evidence"]["quad_evaluations"] > 0
     assert 0.0 < results["evidence"]["quad_worst_rel_error"] <= 1e-10
 

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from nlbranch.criteria import linear_test_function, ln_test_function
+from nlbranch.criteria import generator_values, linear_test_function, ln_test_function
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
 from nlbranch.numerics import RngStream, StreamBundle
 from nlbranch.simulator import (
     PathState,
     SimConfig,
     _Engine,
-    _generator_values,
     _run_block,
     martingale_residual,
     simulate_until,
@@ -403,7 +402,7 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
     while steps < cfg.step_budget:
         steps += 1
         if g is not None:
-            lg = _generator_values(m, g, x, 1e-8)
+            lg = generator_values(m, g, x, 1e-8)
         x, t, dt, hit = eng.advance(x, t, rng.bundle, np.array([0]))
         if g is not None:
             lg_integral = lg_integral + lg * dt
