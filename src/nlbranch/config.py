@@ -146,7 +146,8 @@ def _build(cp, section):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(section, "", str(exc)) from exc
+        # the dataclass checks name their field in the error's code
+        raise ConfigError(section, getattr(exc, "code", ""), str(exc)) from exc
 
 
 def _resolve_coefficient(section, raw, alpha, b0):
@@ -206,9 +207,10 @@ def _parse_atoms(cp):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    # no default section: a [DEFAULT] header is one more unknown section
+    # no default section: a [DEFAULT] header is one more unknown section;
+    # no interpolation: a value is read literally, "%" included
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                   default_section="")
+                                   default_section="", interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import StableMeasure, ValidatedModel
+from .model import StableMeasure, ValidatedModel, ValidationError
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
 from .numerics.quadrature import QuadTally, integrate_jobs, integrate_truncated
 
@@ -79,16 +79,20 @@ class CriteriaConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if len(self.small_u_grid) == 0 or len(self.large_u_grid) == 0:
-            raise ValueError("evaluation grids must be nonempty")
-        if any(b >= a for a, b in zip(self.small_u_grid, self.small_u_grid[1:])):
-            raise ValueError("small_u_grid must be strictly decreasing")
-        if any(u <= 0.0 for u in self.small_u_grid):
-            raise ValueError("small_u_grid entries must be positive")
-        if any(b <= a for a, b in zip(self.large_u_grid, self.large_u_grid[1:])):
-            raise ValueError("large_u_grid must be strictly increasing")
-        if any(u <= 3.0 for u in self.large_u_grid):
-            raise ValueError("large_u_grid entries must exceed 3")
+        small, large = self.small_u_grid, self.large_u_grid
+        for name, failed, rule in (
+                ("small_u_grid", len(small) == 0, "must be nonempty"),
+                ("large_u_grid", len(large) == 0, "must be nonempty"),
+                ("small_u_grid", any(b >= a for a, b in zip(small, small[1:])),
+                 "must be strictly decreasing"),
+                ("small_u_grid", any(u <= 0.0 for u in small),
+                 "entries must be positive"),
+                ("large_u_grid", any(b <= a for a, b in zip(large, large[1:])),
+                 "must be strictly increasing"),
+                ("large_u_grid", any(u <= 3.0 for u in large),
+                 "entries must exceed 3")):
+            if failed:
+                raise ValidationError(name, f"{name} {rule}")
 
 
 @dataclass

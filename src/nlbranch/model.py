@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 class ValidationError(ValueError):
-    """Model validation failure with a stable machine-readable code."""
+    """Validation failure with a stable machine-readable code: for a model
+    a failure mode, for a settings dataclass the field that failed."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -97,13 +98,6 @@ class StableMeasure:
         a = self.alpha
         return a * (a - 1.0) / gamma(2.0 - a)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
-        d = self.c_alpha() * z ** (-1.0 - self.alpha)
-        if self.u_max is not None:
-            d = np.where(z <= self.u_max, d, 0.0)
-        return d
-
 
 @dataclass(frozen=True)
 class FiniteMeasure:
@@ -152,9 +146,6 @@ class ValidatedModel:
 
     def a3(self, u):
         return self.spec.a3(u)
-
-    def mu_density(self, z):
-        return self.spec.mu.density(z)
 
     @property
     def nu_mass(self) -> float:

@@ -9,9 +9,11 @@ x-space Euler increment of everything but the diffusion.  On the full
 support U = (0, inf) this heavy-jump part is exact under frozen rates:
 S is spectrally positive stable, E exp(-lam S) = exp(lam^alpha), one
 Chambers-Mallows-Stuck draw from two uniforms.  A support cut at u_max
-splits it at a cutoff eps instead (``stable_step_params``): a Poisson
-count of inverse-CDF tail draws above eps, a variance-matched Gaussian
-N2 below it and the compensation drift -a2(X) m_eps.
+splits it at a cutoff eps instead: a Poisson count of inverse-CDF tail
+draws above eps, a variance-matched Gaussian N2 below it and the
+compensation drift -a2(X) m_eps.  The atoms are a Poisson count of
+inverse-CDF draws from nu; both jump kinds add each lane's draws in
+jump order, whatever the other lanes of the block draw.
 
 So y' = y + log1p(R) + s N1 - log1p(s^2 / 2).  The diffusion factor is the
 exact log-Gaussian one under frozen log-variance, and the drift enters as
@@ -35,8 +37,8 @@ cut-support heavy jumps and atoms per step below 0.01.
 
 Barrier crossings are detected at grid points only, which biases passage
 probabilities low: from x0 = 100 to a = 1 by t = 1 with a0 = x^2,
-a1 = 2x^3 and adaptive steps it reads 0.595 against the exact 0.629,
-about -10 standard errors at 20k paths.
+a1 = 2x^3 and adaptive steps (dt <= 1e-2) it reads 0.591 against the
+exact 0.629, about -11 standard errors at 20k paths.
 
 The engine advances whole lanes of paths as numpy vectors.  Lane i always
 consumes random stream i regardless of scheduling, so results are
@@ -53,17 +55,11 @@ from typing import Optional
 import numpy as np
 
 from .criteria import TestFunction, generator_values
-from .model import PowerLaw, StableMeasure, ValidatedModel
+from .model import PowerLaw, ValidatedModel, ValidationError
 from .numerics.rng import RngStream, StreamBundle
 
 __all__ = [
     "SimConfig",
-    "PathState",
-    "PassageRecord",
-    "StableStepParams",
-    "stable_step_params",
-    "step",
-    "simulate_until",
     "trace_path",
     "martingale_residual",
 ]
@@ -110,77 +106,28 @@ class SimConfig:
     step_budget: int = 10_000_000
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not self.eps_cut > 0.0:
-            raise ValueError("eps_cut must be positive")
-        if not self.horizon_t > 0.0:
-            raise ValueError("horizon_t must be positive")
-        if not self.cap_b > 0.0:
-            raise ValueError("cap_b must be positive")
-        if self.floor_zero < 0.0:
-            raise ValueError("floor_zero must be >= 0")
-        if self.eps_rule not in ("absolute", "relative"):
-            raise ValueError("eps_rule must be 'absolute' or 'relative'")
-
-
-@dataclass
-class PathState:
-    t: float
-    x: float
-    absorbed_zero: bool = False
-    capped: bool = False
-
-    @property
-    def frozen(self) -> bool:
-        return self.absorbed_zero or self.capped
-
-
-@dataclass
-class PassageRecord:
-    """First-crossing times of one path (None where never crossed)."""
-    tau_a_minus: Optional[float]
-    tau_b_plus: Optional[float]
-    tau_zero: Optional[float]
-    capped_at: Optional[float]
-    final: PathState
-
-
-@dataclass(frozen=True)
-class StableStepParams:
-    """Per-unit-rate constants of the cutoff decomposition on a cut support.
-
-    lam_eps: intensity of jumps above the cutoff; m_eps: their mean (also
-    the compensation drift); sigma2_eps: variance of the Gaussian stand-in
-    for the jumps below the cutoff.
-    """
-    lam_eps: float
-    m_eps: float
-    sigma2_eps: float
-
-
-def stable_step_params(alpha: float, eps: float,
-                       u_max: Optional[float] = None,
-                       c_alpha: Optional[float] = None) -> StableStepParams:
-    """Closed-form cutoff constants for the stable density on U.
-
-    With full support: lam = c eps^-a / a, m = c eps^(1-a) / (a-1),
-    sigma2 = c eps^(2-a) / (2-a).  A support cut at u_max truncates the
-    tail pieces accordingly; a cutoff at or above u_max leaves no heavy
-    jumps at all.
-    """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (1, 2)")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    c = StableMeasure(alpha).c_alpha() if c_alpha is None else c_alpha
-    lam, m, sigma2 = _cutoff_terms(alpha, c, eps, u_max)
-    return StableStepParams(float(lam), float(m), float(sigma2))
+        for name, failed, rule in (
+                ("dt", not self.dt > 0.0, "must be positive"),
+                ("eps_cut", not self.eps_cut > 0.0, "must be positive"),
+                ("horizon_t", not self.horizon_t > 0.0, "must be positive"),
+                ("cap_b", not self.cap_b > 0.0, "must be positive"),
+                ("floor_zero", self.floor_zero < 0.0, "must be >= 0"),
+                ("eps_rule", self.eps_rule not in ("absolute", "relative"),
+                 "must be 'absolute' or 'relative'")):
+            if failed:
+                raise ValidationError(name, f"{name} {rule}")
 
 
 def _cutoff_terms(a, c, eps, u_max):
-    """(lam, m, sigma2) of ``stable_step_params`` for a scalar or an array
-    of cutoffs."""
+    """Cutoff constants of the stable density c z**(-1-a) on U per unit
+    rate, for a scalar or an array of cutoffs eps: the intensity lam of
+    the jumps above eps, their mean m (also the compensation drift) and
+    the variance sigma2 of the Gaussian stand-in for the jumps below it.
+
+    With full support lam = c eps^-a / a, m = c eps^(1-a) / (a-1) and
+    sigma2 = c eps^(2-a) / (2-a).  A support cut at u_max truncates the
+    tail pieces; a cutoff at or above u_max leaves no heavy jumps.
+    """
     lam = c * eps ** (-a) / a
     m = c * eps ** (1.0 - a) / (a - 1.0)
     sigma2 = c * eps ** (2.0 - a) / (2.0 - a)
@@ -199,6 +146,34 @@ def _stable_unit(alpha, u1, u2):
     return (-np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)
             * (np.sin((alpha - 1.0) * w) / -np.log(u2))
             ** ((1.0 - alpha) / alpha))
+
+
+def _jump_sums(bundle, counts, idx, size):
+    """Each lane's sum of its ``counts`` jumps, and the lanes' streams
+    advanced past them.
+
+    Jump j of a lane is ``size(u, lanes)`` of the uniform at its counter
+    plus j, ``lanes`` selecting the lane's entries of any per-lane
+    parameter.  Up to 256 jumps per lane the block steps in lockstep, one
+    jump index at a time; above that each lane draws its jumps in one flat
+    pass.  Both add a lane's jumps in jump order, so its sum does not
+    depend on the other lanes of its block.
+    """
+    sums = np.zeros(counts.shape)
+    top = int(counts.max(initial=0))
+    if top > 256:
+        lane_idx = np.arange(counts.size) if idx is None else idx
+        for k in np.flatnonzero(counts):
+            u = bundle.uniforms_at(np.arange(counts[k], dtype=np.uint64),
+                                   lane_idx[k:k + 1])
+            # not np.sum: it adds pairwise, in another order
+            sums[k] = np.add.accumulate(size(u, slice(k, k + 1)))[-1]
+    else:
+        for j in range(top):
+            u = bundle.uniforms_at(j, idx)
+            sums += np.where(counts > j, size(u, slice(None)), 0.0)
+    bundle.advance(counts, idx)
+    return sums
 
 
 class _Scaled:
@@ -284,6 +259,11 @@ class _Engine:
         hi = um ** (-a)
         return (lo - u * (lo - hi)) ** (-1.0 / a)
 
+    def _atom(self, u):
+        """Inverse-CDF draw of an atom location from the normalized nu."""
+        k = np.searchsorted(self.nu_cum, u)
+        return self.nu_z[np.minimum(k, self.nu_z.size - 1)]
+
     def advance(self, x, t, bundle, idx):
         """One step for the lanes ``idx`` of ``bundle`` (None: all of its
         lanes, in order); returns (x', t', dt, hit_horizon)."""
@@ -330,42 +310,13 @@ class _Engine:
             n2 = bundle.normals(idx)
             rel = rel - comp * dt + np.sqrt(var_jump * dt) * n2
             n_big = bundle.poissons(rate_big * dt, idx)
-            top = int(n_big.max()) if n_big.size else 0
-            if top > 256:
-                # huge per-step counts: sum each lane's jumps in one flat
-                # pass instead of lock-stepping the whole block top times
-                jump_sum = np.zeros_like(x)
-                lane_idx = np.arange(x.size) if idx is None else idx
-                for k in range(x.size):
-                    nk = int(n_big[k])
-                    if nk == 0:
-                        continue
-                    offs = np.arange(nk, dtype=np.uint64)
-                    u = bundle.uniforms_at(offs, lane_idx[k:k + 1])
-                    jump_sum[k] = float(np.sum(self._heavy_jump(eps[k], u)))
-                bundle.advance(n_big, idx)
-                rel = rel + jump_sum / x
-            elif top > 0:
-                jump_sum = np.zeros_like(x)
-                for j in range(top):
-                    has = n_big > j
-                    u = bundle.uniforms_at(j, idx)
-                    jump_sum += np.where(has, self._heavy_jump(eps, u), 0.0)
-                bundle.advance(n_big, idx)
-                rel = rel + jump_sum / x
+            rel = rel + _jump_sums(
+                bundle, n_big, idx,
+                lambda u, lanes: self._heavy_jump(eps[lanes], u)) / x
         if self.nu_active:
             n_nu = bundle.poissons(rate_nu * dt, idx)
-            top = int(n_nu.max()) if n_nu.size else 0
-            if top > 0:
-                atom_sum = np.zeros_like(x)
-                for j in range(top):
-                    has = n_nu > j
-                    u = bundle.uniforms_at(j, idx)
-                    k = np.searchsorted(self.nu_cum, u)
-                    atom_sum += np.where(has, self.nu_z[np.minimum(
-                        k, self.nu_z.size - 1)], 0.0)
-                bundle.advance(n_nu, idx)
-                rel = rel + atom_sum / x
+            rel = rel + _jump_sums(bundle, n_nu, idx,
+                                    lambda u, lanes: self._atom(u)) / x
         grow = 1.0 + rel
         # a step past the float range lands on the cap
         with np.errstate(over="ignore"):
@@ -475,46 +426,6 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     if trace:
         out["trace"] = path
     return out
-
-
-def step(state: PathState, model: ValidatedModel, cfg: SimConfig,
-         rng: RngStream) -> PathState:
-    """Advance a single path state by one step."""
-    if state.frozen:
-        raise ValueError("cannot step a frozen path state")
-    eng = _Engine(model, cfg)
-    x_new, t_new, _, _ = eng.advance(np.array([state.x]),
-                                     np.array([state.t]), rng.bundle, None)
-    x1, t1 = float(x_new[0]), float(t_new[0])
-    if x1 <= cfg.floor_zero:
-        return PathState(t=t1, x=0.0, absorbed_zero=True)
-    if x1 >= cfg.cap_b:
-        return PathState(t=t1, x=x1, capped=True)
-    return PathState(t=t1, x=x1)
-
-
-def simulate_until(model: ValidatedModel, cfg: SimConfig, x0: float,
-                   a: float, b: float, rng: RngStream) -> PassageRecord:
-    """Run one path until crossing below a / above b, absorption, cap or
-    the configured horizon."""
-    if not (0.0 <= a < x0 < b <= cfg.cap_b):
-        raise ValueError("need 0 <= a < x0 < b <= cap_b")
-    out = _run_block(model, cfg, x0, a, b, rng.bundle)
-
-    def scalar(arr):
-        v = float(arr[0])
-        return None if math.isnan(v) else v
-
-    final = PathState(t=float(out["t"][0]), x=float(out["x"][0]),
-                      absorbed_zero=bool(out["absorbed"][0]),
-                      capped=bool(out["capped"][0]))
-    return PassageRecord(
-        tau_a_minus=scalar(out["tau_a"]),
-        tau_b_plus=scalar(out["tau_b"]),
-        tau_zero=scalar(out["tau_zero"]),
-        capped_at=scalar(out["capped_at"]),
-        final=final,
-    )
 
 
 def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float,

@@ -107,6 +107,40 @@ def test_parse_config_field_precise_errors():
         assert f"[{section}]" in str(exc.value) and key in str(exc.value)
 
 
+# a value each SimConfig and CriteriaConfig check rejects:
+# (section, key, value, a word of the check's message)
+FAILED_CHECKS = [
+    ("sim", "dt", "-1", "positive"),
+    ("sim", "eps_cut", "0", "positive"),
+    ("sim", "horizon_t", "0", "positive"),
+    ("sim", "cap_b", "-1e10", "positive"),
+    ("sim", "floor_zero", "-1", ">= 0"),
+    ("sim", "eps_rule", "proportional", "relative"),
+    ("criteria", "small_u_grid", "", "nonempty"),
+    ("criteria", "large_u_grid", "", "nonempty"),
+    ("criteria", "small_u_grid", "0.1 1", "decreasing"),
+    ("criteria", "small_u_grid", "1 0", "positive"),
+    ("criteria", "large_u_grid", "20 10", "increasing"),
+    ("criteria", "large_u_grid", "3 10", "exceed 3"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, word", FAILED_CHECKS)
+def test_parse_config_failed_check_names_its_key(section, key, value, word):
+    model_only = GBM_CONFIG.split("[sim]")[0]
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(model_only + f"[{section}]\n{key} = {value}\n")
+    assert (exc.value.section, exc.value.key) == (section, key)
+    assert str(exc.value).startswith(f"[{section}] {key}: {key}")
+    assert word in str(exc.value)
+
+
+def test_parse_config_reads_percent_literally():
+    rc = parse_config_text(GBM_CONFIG.replace(
+        "format = json", "path = out%d.json\nformat = json"))
+    assert rc.output_path == "out%d.json"
+
+
 # every [sim], [mc], [criteria] and [output] key away from its default
 ALL_KEYS_CONFIG = GBM_CONFIG.replace("""
 [sim]

@@ -9,14 +9,11 @@ from nlbranch.criteria import generator_values, linear_test_function, ln_test_fu
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
 from nlbranch.numerics import RngStream, StreamBundle
 from nlbranch.simulator import (
-    PathState,
     SimConfig,
+    _cutoff_terms,
     _Engine,
     _run_block,
     martingale_residual,
-    simulate_until,
-    stable_step_params,
-    step,
     trace_path,
 )
 from nlbranch.numerics import gamma
@@ -35,61 +32,54 @@ def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
 # ---------------------------------------------------------------------------
 # cutoff constants
 
+C15 = StableMeasure(1.5).c_alpha()
+
 
 def test_stable_step_params_closed_form():
-    p = stable_step_params(1.5, 0.01)
-    assert p.lam_eps == pytest.approx(282.0948, rel=1e-6)
-    assert p.m_eps == pytest.approx(8.462844, rel=1e-6)
-    assert p.sigma2_eps == pytest.approx(0.08462844, rel=1e-6)
+    lam, m, s2 = _cutoff_terms(1.5, C15, 0.01, None)
+    assert lam == pytest.approx(282.0948, rel=1e-6)
+    assert m == pytest.approx(8.462844, rel=1e-6)
+    assert s2 == pytest.approx(0.08462844, rel=1e-6)
 
 
 def test_stable_step_params_vanishing_tail():
     # both tail constants decay to zero as the cutoff grows
-    p0 = stable_step_params(1.5, 1e2)
-    p1 = stable_step_params(1.5, 1e6)
-    p2 = stable_step_params(1.5, 1e10)
-    assert p0.lam_eps > p1.lam_eps > p2.lam_eps
-    assert p0.m_eps > p1.m_eps > p2.m_eps
-    assert p2.lam_eps < 1e-14 and p2.m_eps < 1e-4
+    (l0, m0, _), (l1, m1, _), (l2, m2, _) = (
+        _cutoff_terms(1.5, C15, eps, None) for eps in (1e2, 1e6, 1e10))
+    assert l0 > l1 > l2
+    assert m0 > m1 > m2
+    assert l2 < 1e-14 and m2 < 1e-4
 
 
 def test_stable_step_params_pareto_mean_identity():
     # lam * E[jump | jump > eps] = lam * (alpha eps / (alpha-1)) = m
     for alpha in (1.2, 1.5, 1.9):
+        c = StableMeasure(alpha).c_alpha()
         for eps in (1e-4, 0.1, 2.0):
-            p = stable_step_params(alpha, eps)
-            assert p.lam_eps * alpha * eps / (alpha - 1.0) == \
-                pytest.approx(p.m_eps, rel=1e-12)
+            lam, m, _ = _cutoff_terms(alpha, c, eps, None)
+            assert lam * alpha * eps / (alpha - 1.0) == \
+                pytest.approx(m, rel=1e-12)
 
 
 def test_stable_step_params_truncated_support():
-    full = stable_step_params(1.5, 0.01)
-    trunc = stable_step_params(1.5, 0.01, u_max=10.0)
-    assert trunc.lam_eps < full.lam_eps
-    assert trunc.m_eps < full.m_eps
-    assert trunc.sigma2_eps == full.sigma2_eps
+    full = _cutoff_terms(1.5, C15, 0.01, None)
+    trunc = _cutoff_terms(1.5, C15, 0.01, 10.0)
+    assert trunc[0] < full[0]
+    assert trunc[1] < full[1]
+    assert trunc[2] == full[2]
     # cutoff above the support cut leaves no heavy jumps
-    none = stable_step_params(1.5, 20.0, u_max=10.0)
-    assert none.lam_eps == 0.0 and none.m_eps == 0.0
-    assert none.sigma2_eps == pytest.approx(
+    lam, m, s2 = _cutoff_terms(1.5, C15, 20.0, 10.0)
+    assert lam == 0.0 and m == 0.0
+    assert s2 == pytest.approx(
         0.4231421876608172 * 10.0 ** 0.5 / 0.5, rel=1e-12)
 
 
 def test_cutoff_terms_per_lane_match_scalar_params():
-    from nlbranch.simulator import _cutoff_terms
     c = 0.4231421876608172
     eps = np.array([1e-3, 0.5, 10.0, 20.0])
     lam, m, s2 = _cutoff_terms(1.5, c, eps, 10.0)
     for k, e in enumerate(eps):
-        p = stable_step_params(1.5, float(e), u_max=10.0, c_alpha=c)
-        assert (lam[k], m[k], s2[k]) == (p.lam_eps, p.m_eps, p.sigma2_eps)
-
-
-def test_stable_step_params_domain():
-    with pytest.raises(ValueError):
-        stable_step_params(2.5, 0.01)
-    with pytest.raises(ValueError):
-        stable_step_params(1.5, -1.0)
+        assert (lam[k], m[k], s2[k]) == _cutoff_terms(1.5, c, float(e), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +90,23 @@ def test_step_deterministic_drift():
     # a0 = 1 (constant), no noise: Euler gives x + dt exactly
     m = make_model(b0=1.0, r0=0.0)
     cfg = SimConfig(dt=0.1, eps_cut=1e-4, horizon_t=10.0)
-    s = step(PathState(t=0.0, x=1.0), m, cfg, RngStream(1))
-    assert s.x == pytest.approx(1.1, rel=1e-15)
-    assert s.t == pytest.approx(0.1)
-    assert not s.frozen
+    x, t, _, hit = _Engine(m, cfg).advance(np.array([1.0]), np.zeros(1),
+                                           RngStream(1).bundle, None)
+    assert x[0] == pytest.approx(1.1, rel=1e-15)
+    assert t[0] == pytest.approx(0.1)
+    assert not hit[0]
 
 
 def test_step_absorbs_at_zero_and_freezes():
+    # the first step lands below the floor: the lane is absorbed at 0 and
+    # steps no further
     m = make_model(b0=1.0, r0=0.0)
     cfg = SimConfig(dt=0.1, eps_cut=1e-4, horizon_t=10.0, floor_zero=2.0)
-    s = step(PathState(t=0.0, x=1.0), m, cfg, RngStream(1))
-    assert s.absorbed_zero and s.x == 0.0
-    with pytest.raises(ValueError):
-        step(s, m, cfg, RngStream(1))
+    out = _run_block(m, cfg, x0=1.0, a=-1.0, b=np.inf,
+                     bundle=RngStream(1).bundle)
+    assert out["absorbed"][0] and out["x"][0] == 0.0
+    assert out["tau_zero"][0] == out["t"][0] == pytest.approx(0.1)
+    assert (out["iterations"], out["lane_steps"]) == (1, 1)
 
 
 def test_compensation_kills_mean_increment():
@@ -121,16 +115,15 @@ def test_compensation_kills_mean_increment():
     cfg = SimConfig(dt=0.01, eps_cut=0.01, horizon_t=1e9, cap_b=1e15)
     n = 100_000
     bundle = StreamBundle(7, np.arange(n, dtype=np.uint64))
-    from nlbranch.simulator import _Engine
     eng = _Engine(m, cfg)
     x = np.full(n, 10.0)
     idx = np.arange(n)
     x_new, _, dt, _ = eng.advance(x, np.zeros(n), bundle, idx)
     incr = x_new - x
     # per-step increment variance: a2 (sigma2_eps + tail second moment) dt
-    p = stable_step_params(1.5, 0.01)
+    _, _, sigma2_eps = _cutoff_terms(1.5, C15, 0.01, None)
     tail_second = 0.4231421876608172 * 0.01 ** 0.5 / 0.5  # c eps^(2-a)/(a... )
-    var = (p.sigma2_eps + tail_second) * 0.01
+    var = (sigma2_eps + tail_second) * 0.01
     se = math.sqrt(var / n)
     assert abs(incr.mean()) <= 4.0 * se + 1e-12
 
@@ -190,17 +183,11 @@ def test_steps_near_a_far_cap_neither_stall_nor_explode():
 def test_simulate_until_drift_only_upward():
     m = make_model(b0=1.0, r0=1.0)  # dx = x dt: x(t) = e^t
     cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=3.0)
-    rec = simulate_until(m, cfg, x0=10.0, a=5.0, b=100.0, rng=RngStream(11))
-    assert rec.tau_a_minus is None
-    assert rec.tau_b_plus == pytest.approx(math.log(10.0), abs=0.01)
-    assert rec.final.x > 100.0
-
-
-def test_simulate_until_precondition():
-    m = make_model()
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0)
-    with pytest.raises(ValueError):
-        simulate_until(m, cfg, x0=1.0, a=2.0, b=10.0, rng=RngStream(0))
+    out = _run_block(m, cfg, x0=10.0, a=5.0, b=100.0,
+                     bundle=RngStream(11).bundle)
+    assert np.isnan(out["tau_a"][0])
+    assert out["tau_b"][0] == pytest.approx(math.log(10.0), abs=0.01)
+    assert out["x"][0] > 100.0
 
 
 def test_trace_path_thinned_and_deterministic():
@@ -367,24 +354,6 @@ def test_paths_stay_nonnegative_with_heavy_compensation():
     assert np.all(out["tau_zero"][out["absorbed"]] <= 5.0)
 
 
-def test_block_run_equals_independent_single_paths():
-    # lane i of a block run is bit-identical to a standalone run that
-    # owns stream i: results cannot depend on batching
-    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.5, r2=1.0)
-    cfg = SimConfig(dt=5e-3, eps_cut=0.05, horizon_t=0.5)
-    block = _run_block(m, cfg, x0=10.0, a=1.0, b=1e6,
-                       bundle=StreamBundle(314, np.arange(8, dtype=np.uint64)))
-    for i in range(8):
-        rec = simulate_until(m, cfg, x0=10.0, a=1.0, b=1e6,
-                             rng=RngStream(314, stream_id=i))
-        assert rec.final.x == block["x"][i]
-        assert rec.final.t == block["t"][i]
-        tau = block["tau_a"][i]
-        assert (rec.tau_a_minus is None) == bool(np.isnan(tau))
-        if rec.tau_a_minus is not None:
-            assert rec.tau_a_minus == tau
-
-
 def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
     """Lane i alone, stepped by the engine on its own RngStream until its
     first event or the step budget: the plain loop a block run must
@@ -452,6 +421,43 @@ def test_ragged_lanes_equal_single_paths_adaptive():
                                                    12, 7)
     assert len(set(steps)) >= 6
     assert not block["unfinished"].any()
+
+
+def test_block_run_equals_independent_single_paths():
+    # full support: one exact stable draw per lane-step beside the
+    # diffusion; results cannot depend on batching
+    m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.5, r2=1.0)
+    cfg = SimConfig(dt=5e-3, eps_cut=0.05, horizon_t=0.5)
+    _assert_lanes_match_single_runs(m, cfg, 10.0, 1.0, 1e6, 8, 314)
+
+
+@pytest.mark.parametrize("jumps", ["heavy", "atoms"])
+def test_lane_jump_sums_do_not_depend_on_the_block(jumps):
+    # about 282 jumps per lane-step: the block's largest count exceeds
+    # 256, so it sums each lane's jumps in one flat pass, while a lane
+    # whose own count is at most 256 sums them in lockstep when stepped
+    # alone.  Both must give the same bits.
+    if jumps == "heavy":
+        m = make_model(b0=1e-3, r0=0.0, b2=1.0, r2=0.0, u_max=5.0)
+        words = 2  # the small-jump normal and the Poisson count
+    else:
+        m = make_model(b0=1e-3, r0=0.0, b3=94_000.0, r3=0.0, u_max=0.05,
+                       atoms=[(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)])
+        words = 1  # the Poisson count
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4)
+    n = 400
+    bundle = StreamBundle(5, np.arange(n, dtype=np.uint64))
+    x, _, _, _ = _Engine(m, cfg).advance(np.ones(n), np.zeros(n), bundle,
+                                         None)
+    counters = bundle.counters()
+    counts = counters - words
+    assert min(counts) <= 256 < max(counts)
+    for i in range(n):
+        rng = RngStream(5, stream_id=i)
+        xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1),
+                                              rng.bundle, None)
+        assert xi[0] == x[i], f"lane {i}"
+        assert rng.counter == counters[i]
 
 
 @pytest.mark.parametrize("eps_rule", ["absolute", "relative"])
