@@ -13,10 +13,15 @@ The classifier rests on three scalar diagnostics of the model at state u:
   super-logarithmic growth drags it down in finite time ("comes down
   from infinity").
 
-For pure power-law models with full jump support the signs and growth
-orders are decided exactly from exponents and coefficients; anything
-else is evaluated on configurable grids and downgraded to inconclusive
-when the evidence is mixed.
+For power-law models, on full support, on a support cut at u_max and
+with atoms, the signs and growth orders are decided exactly: phi near
+zero and near infinity is a short sum of (coefficient, exponent, log
+power) terms, exact or a convergent series carried to a fixed order, and
+h_rho's channels are nonnegative powers.  Terms that cancel to every
+order carried, and models the two infinity rules do not cover, read
+inconclusive.  Tabulated rates are evaluated on configurable grids and
+downgraded to inconclusive when the evidence is mixed.  phi has closed
+forms everywhere; only the k-integrals of the grid path use quadrature.
 """
 
 import math
@@ -25,6 +30,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.special import beta, betainc, betaincc
 
 from .model import StableMeasure, ValidatedModel, ValidationError
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
@@ -58,6 +64,8 @@ RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
 _EXPONENT_TOL = 1e-12
 _COEF_REL_TOL = 1e-12
+# orders carried of each convergent series in phi's expansions
+_SERIES_TERMS = 6
 
 
 class Verdict(str, Enum):
@@ -252,35 +260,31 @@ def log_power_test_function(rho: float) -> TestFunction:
 # scalar diagnostics
 
 
-def phi_with_scale(model: ValidatedModel, u: float, quad_tol: float = 1e-10,
-                   tally: Optional[QuadTally] = None) -> Tuple[float, float]:
+def phi_with_scale(model: ValidatedModel, u: float) -> Tuple[float, float]:
     """Drift index at u together with the magnitude scale of its terms.
 
     The scale (sum of absolute term sizes) is what "phi is numerically
     zero" must be judged against: on critical models the terms cancel
     exactly and the value is roundoff-level relative to the scale.
-    A ``tally`` collects the cost and error of any quadrature.
     """
-    return _phi_values(model, [u], quad_tol, tally)[0]
+    return _phi_values(model, [u])[0]
 
 
-def phi(model: ValidatedModel, u: float, quad_tol: float = 1e-10) -> float:
+def phi(model: ValidatedModel, u: float) -> float:
     """Drift index at u (see module docstring)."""
-    return phi_with_scale(model, u, quad_tol)[0]
+    return phi_with_scale(model, u)[0]
 
 
-def _phi_values(model: ValidatedModel, us, quad_tol: float,
-                tally: Optional[QuadTally]) -> List[Tuple[float, float]]:
+def _phi_values(model: ValidatedModel, us) -> List[Tuple[float, float]]:
     """``phi_with_scale`` at each u: each rate is called once on the grid,
-    and the jump moments share one run."""
+    and every term has a closed form."""
     u = np.array(us, dtype=float)
     if not np.all(u > 0.0):
         raise ValueError("u must be positive")
     a2 = model.a2(u)
     jumps = np.flatnonzero(a2 != 0.0)
     t_jump = np.zeros_like(u)
-    t_jump[jumps] = a2[jumps] * np.array(_quadratic_jump_moments(
-        model, u[jumps].tolist(), quad_tol, tally))
+    t_jump[jumps] = a2[jumps] * _quadratic_jump_moments(model, u[jumps])
     t_drift = -model.a0(u) / u
     t_diff = 0.5 * model.a1(u) / (u * u)
     t_atoms = 0.0 if model.nu_empty else -model.a3(u) * _atom_sums(
@@ -295,25 +299,27 @@ def _atom_sums(model: ValidatedModel, values):
     return (model.nu_w * values).sum(axis=-1)
 
 
-def _quadratic_jump_moments(model: ValidatedModel, us, tol: float,
-                            tally: Optional[QuadTally]) -> List[float]:
+def _quadratic_jump_moments(model: ValidatedModel, u: np.ndarray) -> np.ndarray:
     """int over U of z^2 mu(dz) * int_0^1 (u+vz)^-2 (1-v) dv at each u.
 
-    The inner integral collapses to (z/u - log1p(z/u)) / z^2; on full
-    support the whole expression is gamma(alpha) u^(-alpha) exactly, the
-    truncated case is integrated numerically.
+    The inner integral collapses to (z/u - log1p(z/u)) / z^2, so the moment
+    is c u^-alpha G(u_max/u) with G(U) = int_0^U x^(-1-alpha) (x - log1p x)
+    dx, and gamma(alpha) u^-alpha on full support.  By parts,
+    G(U) = [B(a, 1-a) I_t(a, 1-a) - U^-alpha (U - log1p U)] / alpha with
+    a = 2 - alpha and t = U / (1+U).  Above U = 1 the regularized beta
+    comes from its complement at 1 - t = 1 / (1+U): the plain form loses
+    digits there (9e-10 relative at alpha = 1.1, U = 1e10).
     """
-    a = model.alpha
+    alpha = model.alpha
     if model.full_support:
-        return [model.gamma_alpha * u ** (-a) for u in us]
-    c = model.c_alpha
-    u = np.array(us, dtype=float)
-
-    def f(z, job):
-        return c * z ** (-1.0 - a) * x_minus_log1p(z / u[job])
-
-    results = integrate_jobs(f, len(us), model.u_max, tol, head_power=1.0 - a)
-    return [r.value if tally is None else tally.add(r) for r in results]
+        return np.array([model.gamma_alpha * v ** (-alpha)
+                         for v in u.tolist()])
+    big = model.u_max / u
+    a = 2.0 - alpha
+    ibeta = np.where(big <= 1.0, betainc(a, 1.0 - a, big / (1.0 + big)),
+                     betaincc(1.0 - a, a, 1.0 / (1.0 + big)))
+    g = (beta(a, 1.0 - a) * ibeta - big ** -alpha * x_minus_log1p(big)) / alpha
+    return model.c_alpha * u ** -alpha * g
 
 
 def nested_jump_moment(mu: StableMeasure, u: float,
@@ -545,61 +551,150 @@ class BoundaryReport:
 
 
 def _merge_power_terms(terms):
-    """Group (coefficient, exponent) terms, dropping exact cancellations."""
+    """Group (coefficient, exponent, log power) terms of equal exponent and
+    log power, dropping exact cancellations."""
     groups = []
-    for coef, expo in terms:
+    for coef, expo, logp in terms:
         for grp in groups:
-            if abs(grp[1] - expo) <= _EXPONENT_TOL:
+            if grp[2] == logp and abs(grp[1] - expo) <= _EXPONENT_TOL:
                 grp[0] += coef
-                grp[2] = max(grp[2], abs(coef))
+                grp[3] = max(grp[3], abs(coef))
                 break
         else:
-            groups.append([coef, expo, abs(coef)])
-    kept = [(c, e) for c, e, m in groups if abs(c) > _COEF_REL_TOL * m]
-    return sorted(kept, key=lambda t: t[1])
+            groups.append([coef, expo, logp, abs(coef)])
+    kept = [(c, e, p) for c, e, p, m in groups if abs(c) > _COEF_REL_TOL * m]
+    return sorted(kept, key=lambda t: (t[1], t[2]))
 
 
-def _symbolic_phi_signs(model: ValidatedModel):
-    (b0, r0), (b1, r1), (b2, r2), _ = model.power_coefficients()
-    terms = [(-b0, r0 - 1.0)]
+def _phi_expansions(model: ValidatedModel, coefficients):
+    """phi near zero and near infinity as (coefficient, exponent, log
+    power) terms, each with the exponent of the first order it leaves out,
+    None where the terms are exact; exact at both ends, they are one list.
+
+    Drift, diffusion and the full-support jump moment are single powers.
+    On a cut support the moment is, for u < u_max,
+    Gamma(alpha) u^-alpha - c u_max^(1-alpha) / ((alpha-1) u)
+    - (c u_max^-alpha / alpha) ln u + c u_max^-alpha (ln u_max / alpha
+    + 1/alpha^2) + sum_k (-1)^(k+1) c u_max^(-alpha-k) u^k / (k (alpha+k)),
+    and for u > u_max sum_(n>=2) (-1)^n m_n / (n u^n) with
+    m_n = c u_max^(n-alpha) / (n-alpha).  The atoms enter through
+    log1p(z/u) = ln z - ln u + log1p(u/z) near zero and its power series
+    in z/u near infinity.  Each series carries _SERIES_TERMS orders.
+    ``coefficients`` are the model's ``power_coefficients()``.
+    """
+    (b0, r0), (b1, r1), (b2, r2), (b3, r3) = coefficients
+    alpha = model.alpha
+    cut_jumps = b2 > 0.0 and not model.full_support
+    atoms = b3 > 0.0 and not model.nu_empty
+    exact = [(-b0, r0 - 1.0, 0)]
     if b1 > 0.0:
-        terms.append((0.5 * b1, r1 - 2.0))
+        exact.append((0.5 * b1, r1 - 2.0, 0))
     if b2 > 0.0:
-        terms.append((model.gamma_alpha * b2, r2 - model.alpha))
-    merged = _merge_power_terms(terms)
+        exact.append((model.gamma_alpha * b2, r2 - alpha, 0))
+    if not (cut_jumps or atoms):
+        return (exact, None), (exact, None)   # one list for both ends
+    zero, inf = exact, exact[:-1] if cut_jumps else list(exact)
+    zero_cuts, inf_cuts = [], []
+    orders = range(1, _SERIES_TERMS + 1)
+    if cut_jumps:
+        c, um = b2 * model.c_alpha, model.u_max
+        zero += [(-c * um ** (1.0 - alpha) / (alpha - 1.0), r2 - 1.0, 0),
+                 (-c * um ** -alpha / alpha, r2, 1),
+                 (c * um ** -alpha * (math.log(um) / alpha + alpha ** -2),
+                  r2, 0)]
+        zero += [((-1) ** (k + 1) * c * um ** (-alpha - k)
+                  / (k * (alpha + k)), r2 + k, 0) for k in orders]
+        inf += [((-1) ** n * c * um ** (n - alpha) / (n * (n - alpha)),
+                 r2 - n, 0) for n in range(2, _SERIES_TERMS + 2)]
+        zero_cuts.append(r2 + _SERIES_TERMS + 1)
+        inf_cuts.append(r2 - _SERIES_TERMS - 2)
+    if atoms:
+        z, w = model.nu_z, model.nu_w
+        zero += [(b3 * float(w.sum()), r3, 1),
+                 (-b3 * float((w * np.log(z)).sum()), r3, 0)]
+        zero += [((-1) ** k * b3 * float((w * z ** -k).sum()) / k, r3 + k, 0)
+                 for k in orders]
+        inf += [((-1) ** n * b3 * float((w * z ** n).sum()) / n, r3 - n, 0)
+                for n in orders]
+        zero_cuts.append(r3 + _SERIES_TERMS + 1)
+        inf_cuts.append(r3 - _SERIES_TERMS - 1)
+    return ((zero, min(zero_cuts, default=None)),
+            (inf, max(inf_cuts, default=None)))
+
+
+def _leading_sign(merged, cut, toward_zero):
+    """Sign of phi near zero or infinity from its merged terms and the
+    exponent of the first order they leave out: 0 when nothing is left of
+    exact terms (phi vanishes identically), None when the terms carried
+    cancel down to the order left out.  Near zero the smallest exponent
+    leads and ln u < 0; near infinity the largest does."""
     if not merged:
-        return 0, 0, merged
-    sign_zero = int(np.sign(merged[0][0]))   # smallest exponent rules u -> 0
-    sign_inf = int(np.sign(merged[-1][0]))   # largest exponent rules u -> inf
-    return sign_zero, sign_inf, merged
+        return 0 if cut is None else None
+    if toward_zero:
+        coef, expo, logp = min(merged, key=lambda t: (t[1], -t[2]))
+        decided = cut is None or expo < cut - _EXPONENT_TOL
+        sign = ((coef > 0.0) - (coef < 0.0)) * (-1) ** logp
+    else:
+        coef, expo, logp = merged[-1]
+        decided = cut is None or expo > cut + _EXPONENT_TOL
+        sign = (coef > 0.0) - (coef < 0.0)
+    return sign if decided else None
+
+
+def _h_growth(model: ValidatedModel, coefficients):
+    """(exponent, log power) of the leading order of h_rho at infinity,
+    None when h vanishes.  Each channel is nonnegative, so none cancels:
+    diffusion gives u^(r1-2); heavy jumps u^(r2-alpha) (ln u)^-2 on full
+    support and u^(r2-2) (ln u)^-2 on a cut one; atoms u^(r3-2) (ln u)^-2."""
+    _, (b1, r1), (b2, r2), (b3, r3) = coefficients
+    orders = []
+    if b1 > 0.0:
+        orders.append((r1 - 2.0, 0))
+    if b2 > 0.0:
+        orders.append((r2 - (model.alpha if model.full_support else 2.0), -2))
+    if b3 > 0.0 and not model.nu_empty:
+        orders.append((r3 - 2.0, -2))
+    return max(orders, default=None)
 
 
 def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
-    (b0, r0), (b1, r1), (b2, r2), _ = model.power_coefficients()
-    sign_zero, sign_inf, merged = _symbolic_phi_signs(model)
-    alpha = model.alpha
+    coefficients = model.power_coefficients()
+    (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, coefficients)
+    terms_zero = _merge_power_terms(zero)
+    terms_inf = terms_zero if inf is zero else _merge_power_terms(inf)
+    sign_zero = _leading_sign(terms_zero, zero_cut, True)
+    sign_inf = _leading_sign(terms_inf, inf_cut, False)
+    growth = _h_growth(model, coefficients)
+    h_superlog = growth is not None and growth[0] > _EXPONENT_TOL
+    h_bounded = not h_superlog
 
-    h_bounded = ((b1 == 0.0 or r1 <= 2.0 + _EXPONENT_TOL)
-                 and (b2 == 0.0 or r2 <= alpha + _EXPONENT_TOL))
-    h_superlog = ((b1 > 0.0 and r1 > 2.0 + _EXPONENT_TOL)
-                  or (b2 > 0.0 and r2 > alpha + _EXPONENT_TOL))
-
-    no_extinction = Verdict.HOLDS if sign_zero <= 0 else Verdict.INCONCLUSIVE
-    no_explosion = Verdict.HOLDS if sign_inf >= 0 else Verdict.INCONCLUSIVE
-    if sign_inf <= 0 and h_bounded:
+    no_extinction = (Verdict.HOLDS if sign_zero is not None and sign_zero <= 0
+                     else Verdict.INCONCLUSIVE)
+    no_explosion = (Verdict.HOLDS if sign_inf is not None and sign_inf >= 0
+                    else Verdict.INCONCLUSIVE)
+    gap = None
+    if sign_inf is None:
+        infinity = InfinityBehavior.INCONCLUSIVE
+        gap = "phi's terms near infinity cancel to every order carried"
+    elif sign_inf <= 0 and h_bounded:
         infinity = InfinityBehavior.STAYS_INFINITE
     elif sign_inf >= 0 and h_superlog:
         infinity = InfinityBehavior.COMES_DOWN_FROM_INFINITY
     else:
         infinity = InfinityBehavior.INCONCLUSIVE
+        side, h = (">", "bounded") if sign_inf > 0 else ("<", "superlogarithmic")
+        gap = f"the rules leave a gap: phi {side} 0 near infinity with h_rho {h}"
 
-    phi_small, phi_large = _phi_grids(model, cfg, None)
+    phi_small, phi_large = _phi_grids(model, cfg)
     evidence = {
-        "phi_terms": [[c, e] for c, e in merged],
+        "phi_terms": {"near_zero": [list(t) for t in terms_zero],
+                      "near_infinity": [list(t) for t in terms_inf]},
         "phi_sign_near_zero": sign_zero,
         "phi_sign_near_infinity": sign_inf,
+        "h_growth": None if growth is None else list(growth),
         "h_bounded": h_bounded,
         "h_superlogarithmic": h_superlog,
+        "infinity_gap": gap,
         "rho": None,
         "phi_small": [[u, v] for u, (v, _) in zip(cfg.small_u_grid, phi_small)],
         "phi_large": [[u, v] for u, (v, _) in zip(cfg.large_u_grid, phi_large)],
@@ -608,10 +703,10 @@ def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryRe
                           "symbolic", evidence)
 
 
-def _phi_grids(model, cfg, tally):
-    """``phi_with_scale`` on the small and the large grid, from one run."""
+def _phi_grids(model, cfg):
+    """``phi_with_scale`` on the small and the large grid, in one call."""
     small, large = cfg.small_u_grid, cfg.large_u_grid
-    phis = _phi_values(model, [*small, *large], cfg.quad_tol, tally)
+    phis = _phi_values(model, [*small, *large])
     return phis[:len(small)], phis[len(small):]
 
 
@@ -642,7 +737,7 @@ def _grid_sign(vals, scales):
 
 def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
     tally = QuadTally()
-    phi_small, phi_large = _phi_grids(model, cfg, tally)
+    phi_small, phi_large = _phi_grids(model, cfg)
     sign_zero = _grid_sign([v for v, _ in phi_small],
                            [s for _, s in phi_small])
     sign_inf = _grid_sign([v for v, _ in phi_large],
@@ -706,12 +801,13 @@ def classify(model: ValidatedModel,
              cfg: Optional[CriteriaConfig] = None) -> BoundaryReport:
     """Classify the four boundary behaviors of a validated model.
 
-    Power-law models with full jump support and no atoms are decided
-    exactly from exponent/coefficient comparisons; everything else is
-    evaluated on the configured grids and any mixed evidence yields an
-    inconclusive verdict rather than a guess.
+    Power-law models, on any support and with any atoms, are decided
+    exactly from the leading terms of phi's expansions and the growth
+    order of h_rho; tabulated rates are evaluated on the configured grids
+    and any mixed evidence yields an inconclusive verdict rather than a
+    guess.
     """
     cfg = cfg or CriteriaConfig()
-    if model.is_power_law and model.full_support and model.nu_empty:
+    if model.is_power_law:
         return _classify_symbolic(model, cfg)
     return _classify_numeric(model, cfg)

@@ -5,9 +5,11 @@ estimate: each panel is evaluated once at 15 interior nodes, and the
 absolute difference between the two rules is the panel error estimate.
 Refinement runs in rounds until the summed estimate meets the relative
 tolerance, the target falls below the roundoff floor of the panel sum,
-or the evaluation budget runs out.  A round bisects the worst panels, in
-heap order, until the error left in the heap is at most 1/8 of the
-target (the batching rule of scipy's ``quad_vec``).
+the error of panels retired at the minimum width exceeds the target of
+any value the open panels' error leaves within reach, or the evaluation
+budget runs out.  A round bisects the worst panels, in heap order, until
+the error left in the heap is at most 1/8 of the target (the batching
+rule of scipy's ``quad_vec``).
 
 A run refines jobs, integrals of f(z, job) over one domain, each as if
 it ran alone, in lockstep rounds: a round evaluates the new panels of
@@ -105,7 +107,8 @@ class QuadTally:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the budget runs out or the target is below roundoff.
+    """Raised when the budget runs out, the target is below roundoff, or
+    error that refinement cannot reduce already exceeds every target.
 
     The best available estimate is attached as ``partial``.
     """
@@ -168,6 +171,15 @@ class _Job:
                 # panel cannot be meaningfully refined; retire it
                 self.frozen_value += v
                 self.frozen_error += e
+                # the open panels can move the value by their error at most
+                reach = abs(value) + err - self.frozen_error
+                if self.frozen_error > tol * reach:
+                    raise QuadratureError(
+                        f"no convergence possible: error {self.frozen_error:.3e}"
+                        f" that refinement cannot reduce exceeds the target "
+                        f"{tol * reach:.3e} of any value within reach of the "
+                        f"open panels' error",
+                        QuadResult(value, err, self.evals))
             else:
                 self.mass -= abs(v)
                 mid = 0.5 * (lo + hi)

@@ -29,6 +29,9 @@ _SALT = _U64(0xD1B54A32D192ED03)
 # moment-matched rounded normal is used instead.
 _POISSON_SPLIT = 500.0
 _POISSON_EXACT_MAX = 1000.0
+# the inversion search is a guard: it raises past this many standard
+# deviations above the block's largest rate, where no sum still grows
+_POISSON_SEARCH_SD = 40.0
 
 
 def _mix(z):
@@ -129,7 +132,13 @@ class StreamBundle:
 
     def uniforms(self, idx=None):
         """One uniform in (0,1) per selected lane; advances counters."""
-        idx = slice(None) if idx is None else idx
+        if idx is None:
+            u = _to_unit(_raw(self._k1, self._k2, self._hi, self._lo))
+            # in place, carrying only where a low word wrapped to 0
+            self._lo += _U64(1)
+            if not self._lo.all():
+                self._hi += self._lo == 0
+            return u
         u = _to_unit(_raw(self._k1[idx], self._k2[idx], self._hi[idx],
                           self._lo[idx]))
         self._advance(idx, 1)
@@ -181,23 +190,32 @@ def _poisson_inversion(lam, u):
     """Sequential-search inversion; consumes exactly one uniform per lane.
 
     Only the lanes with u above P(0) = exp(-lam) search, held compacted:
-    at small rates that is a few of them.
+    at small rates that is a few of them.  A lane whose cumulative sum
+    stops growing while still below u (u in the rounding gap below 1)
+    ends there, at the last count that grew it, so its draw does not
+    depend on the other rates of the block.
     """
     k = np.zeros(lam.shape, dtype=np.int64)
     p = np.exp(-lam)
     (idx,) = np.nonzero(u > p)
     top = lam.max(initial=0.0)
-    k_max = int(top + 40.0 * np.sqrt(top + 1.0) + 25.0)
+    k_max = int(top + _POISSON_SEARCH_SD * np.sqrt(top + 1.0) + 25.0)
     lam, u, p = lam[idx], u[idx], p[idx]
     cdf = p.copy()
     n = 0
-    while idx.size and n <= k_max:
+    while idx.size:
+        if n == k_max:
+            raise RuntimeError(
+                f"Poisson search reached {k_max} terms with {idx.size} "
+                f"lanes still below their uniform")
         n += 1
         p *= lam / n
-        cdf += p
-        k[idx] = n
-        more = u > cdf
-        idx, lam, u, p, cdf = idx[more], lam[more], u[more], p[more], cdf[more]
+        total = cdf + p
+        grew = total > cdf
+        k[idx] = n - 1 + grew
+        more = grew & (u > total)
+        idx, lam, u, p, cdf = (idx[more], lam[more], u[more], p[more],
+                               total[more])
     return k
 
 

@@ -118,6 +118,13 @@ class SimConfig:
                 raise ValidationError(name, f"{name} {rule}")
 
 
+def _zero(term) -> bool:
+    """Whether a rate term is the scalar 0.0 of an inactive channel (an
+    array is never skipped): adding or subtracting it changes no bit, so
+    the array pass is left out."""
+    return isinstance(term, float) and term == 0.0
+
+
 def _cutoff_terms(a, c, eps, u_max):
     """Cutoff constants of the stable density c z**(-1-a) on U per unit
     rate, for a scalar or an array of cutoffs eps: the intensity lam of
@@ -244,12 +251,18 @@ class _Engine:
         for level in self.log_levels:
             dist = np.minimum(dist, np.abs(y - level))
         sd = np.maximum(_LOG_SD, _FAR * dist)
+        lim = np.inf   # each limit of a zero term would be inf
         with np.errstate(divide="ignore"):
-            lim = np.minimum(sd * sd / var, _FAR * sd / np.abs(drift))
+            if not _zero(var):
+                lim = sd * sd / var
+            if not _zero(drift):
+                lim = np.minimum(lim, _FAR * sd / np.abs(drift))
             if self.stable:  # linear in x: the near-level target anywhere
                 lim = np.minimum(lim, _LOG_SD ** self.alpha / stable)
-            lim_jump = np.divide(_JUMPS_PER_STEP, jump_rate)
-        return np.minimum(lim, np.maximum(lim_jump, _DT_FLOOR))
+            if not _zero(jump_rate):
+                lim = np.minimum(lim, np.maximum(
+                    np.divide(_JUMPS_PER_STEP, jump_rate), _DT_FLOOR))
+        return lim
 
     def _heavy_jump(self, eps, u):
         """Inverse-CDF draw from the cut stable tail above the cutoff."""
@@ -291,10 +304,15 @@ class _Engine:
         dt = cfg.dt
         if cfg.adaptive:
             # variance and drift of y (between cut-support heavy jumps)
-            var_y = var + var_jump
-            drift_y = mu - comp - 0.5 * var_y - self.model.gamma_alpha * stable
+            var_y = var if _zero(var_jump) else var + var_jump
+            drift_y = mu
+            for term in (comp, 0.5 * var_y, self.model.gamma_alpha * stable):
+                if not _zero(term):
+                    drift_y = drift_y - term
+            jump_rate = rate_big if _zero(rate_nu) else (
+                rate_nu if _zero(rate_big) else rate_big + rate_nu)
             dt = np.minimum(dt, self._adaptive_dt(
-                scaled.y, drift_y, var_y, rate_big + rate_nu, stable))
+                scaled.y, drift_y, var_y, jump_rate, stable))
         remaining = cfg.horizon_t - t
         hit_horizon = dt >= remaining
         dt = np.where(hit_horizon, remaining, dt)
@@ -366,6 +384,12 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     xl, tl = x.copy(), t.copy()
     lgl = np.zeros(n) if g is not None else None
     live = bundle.take(lanes)
+    # one lower and one upper test finds every lane that finishes: a lane
+    # at or below the zero floor is below a barrier above the floor, and a
+    # lane at or above the cap is above a barrier below the cap
+    floor, cap = cfg.floor_zero, cfg.cap_b
+    below = (lambda v: v < a) if a > floor else (lambda v: v <= floor)
+    above = (lambda v: v > b) if b < cap else (lambda v: v >= cap)
     iterations = lane_steps = 0
     while lanes.size and iterations < cfg.step_budget:
         iterations += 1
@@ -377,27 +401,27 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
         if g is not None:
             lgl += lg * dt
 
-        absorbed_now = xl <= cfg.floor_zero
-        xl = np.where(absorbed_now, 0.0, xl)
-        capped_now = xl >= cfg.cap_b  # an absorbed lane sits at 0
-        cross_a = xl < a
-        cross_b = xl > b
         if trace:
-            path.append((float(tl[0]), float(xl[0])))
-        done = absorbed_now | capped_now | cross_a | cross_b | hit_horizon
+            path.append((float(tl[0]),
+                         0.0 if xl[0] <= floor else float(xl[0])))
+        done = below(xl) | above(xl) | hit_horizon
         if not done.any():
             continue
 
-        # few lanes finish at once: index them by position, not by mask
+        # few lanes finish at once: index them by position, not by mask,
+        # and work out how each finished on them alone
         sel = np.flatnonzero(done)
         fin = lanes[sel]
         t_fin = tl[sel]
-        for times, flags in ((tau_a, cross_a), (tau_b, cross_b),
+        absorbed_now = xl[sel] <= floor
+        x_fin = np.where(absorbed_now, 0.0, xl[sel])
+        capped_now = x_fin >= cap  # an absorbed lane sits at 0
+        for times, flags in ((tau_a, x_fin < a), (tau_b, x_fin > b),
                              (tau_zero, absorbed_now), (capped_at, capped_now)):
-            times[fin] = np.where(flags[sel], t_fin, np.nan)
-        absorbed[fin] = absorbed_now[sel]
-        capped[fin] = capped_now[sel]
-        x[fin] = xl[sel]
+            times[fin] = np.where(flags, t_fin, np.nan)
+        absorbed[fin] = absorbed_now
+        capped[fin] = capped_now
+        x[fin] = x_fin
         t[fin] = t_fin
         bundle.put(fin, live.take(sel))
         keep = ~done

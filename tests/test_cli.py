@@ -409,11 +409,15 @@ def test_cli_classify_cut_support(tmp_path):
     out = str(tmp_path / "rep.json")
     assert main(["classify", "--config", cfg, "--out", out]) == 0
     results = json.loads(open(out).read())["results"]
-    assert results["method"] == "numeric"
+    # a power law on a cut support is decided exactly, with no quadrature
+    assert results["method"] == "symbolic"
     assert results["infinity_behavior"] == "stays_infinite"
-    assert results["evidence"]["rho"] in (0.5, 1.0, 2.0, 4.0)
-    assert results["evidence"]["quad_evaluations"] > 0
-    assert 0.0 < results["evidence"]["quad_worst_rel_error"] <= 1e-10
+    evidence = results["evidence"]
+    assert evidence["rho"] is None
+    assert "quad_evaluations" not in evidence
+    assert evidence["phi_sign_near_infinity"] == -1
+    assert evidence["h_growth"] == [-0.5, -2]
+    assert len(evidence["phi_large"]) == 8
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):

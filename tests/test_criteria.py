@@ -19,6 +19,7 @@ from nlbranch.criteria import (
     linear_test_function,
     ln_test_function,
     log_power_test_function,
+    nested_jump_moment,
     phi,
     phi_by_quadrature,
     phi_with_scale,
@@ -40,6 +41,10 @@ def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
 
 
 GBM_CRITICAL, JUMP_CRITICAL, MIXED_CRITICAL = CRITICAL_FAMILIES.values()
+
+CUT_WITH_ATOMS = dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
+                      b3=0.7, r3=1.0, u_max=5.0,
+                      atoms=((8.0, 0.5), (12.0, 0.3), (20.0, 0.2)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +381,214 @@ def test_classify_numeric_mixed_sign_is_inconclusive():
     assert rep.no_extinction == Verdict.INCONCLUSIVE
 
 
+def _cut_grid():
+    """(alpha, u_max, r2) of the 27 cut-support models a0 = Gamma(alpha) u,
+    a2 = u^r2."""
+    return [(alpha, u_max, r2) for alpha in (1.1, 1.5, 1.9)
+            for u_max in (0.5, 5.0, 50.0)
+            for r2 in (alpha - 0.5, alpha, alpha + 0.5)]
+
+
 def test_classify_cut_support_models():
-    # a support cut at u_max takes the numeric path; no model of the grid
-    # may raise, and the evidence carries the quadrature cost
-    tol = CriteriaConfig().quad_tol
+    # a power law on a cut support is decided exactly, from the series of
+    # phi at both ends and the growth order of h_rho
     repro = make_model(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, u_max=5.0)
     assert classify(repro).infinity_behavior == InfinityBehavior.STAYS_INFINITE
-    for alpha in (1.1, 1.5, 1.9):
-        for u_max in (0.5, 5.0, 50.0):
-            for r2 in (alpha - 0.5, alpha, alpha + 0.5):
-                rep = classify(make_model(b0=gamma(alpha), r0=1.0, b2=1.0,
-                                          r2=r2, alpha=alpha, u_max=u_max))
-                assert rep.method == "numeric"
-                assert rep.no_extinction in set(Verdict)
-                assert rep.no_explosion in set(Verdict)
-                assert rep.infinity_behavior in set(InfinityBehavior)
-                assert rep.evidence["quad_evaluations"] > 0
-                assert 0.0 < rep.evidence["quad_worst_rel_error"] <= tol
+    for alpha, u_max, r2 in _cut_grid():
+        rep = classify(make_model(b0=gamma(alpha), r0=1.0, b2=1.0, r2=r2,
+                                  alpha=alpha, u_max=u_max))
+        ev = rep.evidence
+        assert rep.method == "symbolic"
+        assert ev["rho"] is None and "quad_evaluations" not in ev
+        # near zero Gamma(alpha) u^(r2-alpha) leads below r2 = alpha; at
+        # it the drift cancels it and -c u_max^(1-alpha) u^(r2-1) / (alpha-1)
+        # leads, above it the drift does
+        assert ev["phi_sign_near_zero"] == (1 if r2 < alpha else -1)
+        assert rep.no_extinction == (Verdict.HOLDS if r2 >= alpha
+                                     else Verdict.INCONCLUSIVE)
+        # near infinity phi tends to -Gamma(alpha) + m2/2 u^(r2-2); h_rho
+        # grows like u^(r2-2) (ln u)^-2
+        assert ev["h_growth"] == [r2 - 2.0, -2]
+        m2 = alpha * (alpha - 1.0) / gamma(2.0 - alpha) \
+            * u_max ** (2.0 - alpha) / (2.0 - alpha)
+        if r2 > 2.0:
+            infinity = InfinityBehavior.COMES_DOWN_FROM_INFINITY
+        elif r2 == 2.0 and m2 / 2.0 > gamma(alpha):
+            infinity = InfinityBehavior.INCONCLUSIVE
+            assert ev["infinity_gap"].startswith("the rules leave a gap")
+        else:
+            infinity = InfinityBehavior.STAYS_INFINITE
+        assert rep.infinity_behavior == infinity, (alpha, u_max, r2)
+        assert (rep.no_explosion == Verdict.HOLDS) == (r2 > 2.0 or (
+            r2 == 2.0 and m2 / 2.0 > gamma(alpha)))
+
+
+def _moment(model, u):
+    import nlbranch.criteria as crit
+    return crit._quadratic_jump_moments(model, np.asarray(u, dtype=float))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_cut_moment_matches_its_series_above_u_max(alpha):
+    # sum_(n>=2) (-1)^n m_n / (n u^n), m_n = c u_max^(n-alpha) / (n-alpha),
+    # summed from its smallest term
+    for u_max in (0.5, 50.0, 1e4):
+        m = make_model(b2=1.0, alpha=alpha, u_max=u_max)
+        for u in u_max * np.array([2.0, 10.0, 1e3, 1e8]):
+            x = u_max / u
+            series = 0.0
+            for n in range(200, 1, -1):
+                series += (-1) ** n * x ** n / (n * (n - alpha))
+            series *= m.c_alpha * u_max ** -alpha
+            assert abs(_moment(m, [u])[0] - series) <= 1e-12 * series
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.95])
+def test_cut_moment_matches_its_series_below_u_max(alpha):
+    # Gamma(alpha) u^-alpha - c u_max^(1-alpha) / ((alpha-1) u)
+    # + c u_max^-alpha [1/alpha^2 - ln(x) / alpha
+    #                   + sum_(k>=1) (-1)^(k+1) x^k / (k (alpha+k))], x = u/u_max
+    for u_max in (0.5, 50.0, 1e4):
+        m = make_model(b2=1.0, alpha=alpha, u_max=u_max)
+        c = m.c_alpha
+        for x in (0.1, 1e-4, 1e-10):
+            tail = 0.0
+            for k in range(60, 0, -1):
+                tail += (-1) ** (k + 1) * x ** k / (k * (alpha + k))
+            u = x * u_max
+            series = (gamma(alpha) * u ** -alpha
+                      - c * u_max ** (1.0 - alpha) / ((alpha - 1.0) * u)
+                      + c * u_max ** -alpha * (alpha ** -2 - math.log(x) / alpha
+                                               + tail))
+            assert abs(_moment(m, [u])[0] - series) <= 1e-12 * series
+
+
+def test_cut_moment_matches_the_nested_double_integral():
+    # below u_max, against the route that integrates both variables
+    for alpha, u_max in ((1.1, 5.0), (1.5, 0.5), (1.9, 50.0)):
+        m = make_model(b2=1.0, alpha=alpha, u_max=u_max)
+        for u in u_max * np.array([1e-4, 0.1, 0.9]):
+            ref = nested_jump_moment(m.spec.mu, u, 1e-11)
+            assert _moment(m, [u])[0] == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    CUT_WITH_ATOMS,
+    dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0, atoms=[(5.0, 0.3)]),
+    dict(b0=gamma(1.9), r0=1.0, b2=1.0, r2=2.4, alpha=1.9, u_max=5.0),
+    dict(b0=1.0, r0=1.0, b2=1.0, r2=1.5, b3=1.0, r3=0.0, u_max=2.0,
+         atoms=[(5.0, 0.3)])])
+def test_phi_expansions_reproduce_phi(params):
+    # the terms the verdicts are read from, summed well inside the range
+    # of each series, against the closed forms
+    import nlbranch.criteria as crit
+    m = make_model(**params)
+    (zero, _), (inf, _) = crit._phi_expansions(m, m.power_coefficients())
+    lowest, highest = m.u_max, max([m.u_max, *m.nu_z.tolist()])
+    for terms, us in ((zero, lowest * np.array([1e-4, 1e-3])),
+                      (inf, highest * np.array([1e2, 1e3]))):
+        for u in us:
+            series = sum(c * u ** e * math.log(u) ** p for c, e, p in terms)
+            value, scale = phi_with_scale(m, u)
+            assert abs(series - value) <= 1e-12 * scale, (u, series, value)
+
+
+def test_leading_sign_reads_cancellation_to_every_carried_order():
+    import nlbranch.criteria as crit
+
+    def sign(terms, cut, toward_zero):
+        return crit._leading_sign(crit._merge_power_terms(terms), cut,
+                                  toward_zero)
+
+    cancelling = [(1.0, 0.5, 0), (-1.0, 0.5, 0), (2.0, -1.0, 0), (-2.0, -1.0, 0)]
+    # exact terms that cancel: phi vanishes; series terms that cancel down
+    # to the first order left out (u^-3): unknown, not a guess
+    assert sign(cancelling, None, False) == 0
+    assert sign(cancelling, -3.0, False) is None
+    # a term ahead of that order decides, one behind it does not
+    assert sign([*cancelling, (-0.1, -2.0, 0)], -3.0, False) == -1
+    assert sign([*cancelling, (-0.1, -3.5, 0)], -3.0, False) is None
+    # near zero ln u < 0 flips a log term, which leads a plain power
+    assert sign([(1.0, 0.0, 1), (5.0, 0.0, 0)], 7.0, True) == -1
+
+
+NO_QUADRATURE_MODELS = {
+    "full": JUMP_CRITICAL,
+    "cut": dict(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, u_max=5.0),
+    "atoms": dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0,
+                  atoms=[(5.0, 0.3)]),
+    "cut+atoms": CUT_WITH_ATOMS,
+}
+
+
+@pytest.mark.parametrize("name", list(NO_QUADRATURE_MODELS))
+def test_power_law_classify_makes_no_quadrature_call(name, monkeypatch):
+    import nlbranch.criteria as crit
+    from nlbranch.numerics import quadrature
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    # every integrate_* routine refines through _run_adaptive
+    monkeypatch.setattr(crit, "integrate_jobs", forbidden)
+    monkeypatch.setattr(quadrature, "_run_adaptive", forbidden)
+    rep = classify(make_model(**NO_QUADRATURE_MODELS[name]))
+    assert rep.method == "symbolic"
+    assert rep.evidence["rho"] is None
+
+
+# the power-law models of the test suite, besides the cut-support grid
+TEST_POWER_LAWS = [
+    GBM_CRITICAL, JUMP_CRITICAL, MIXED_CRITICAL, CUT_WITH_ATOMS,
+    dict(b0=1e-12, r0=5.0, b2=1.0, r2=1.5),
+    dict(b0=2.0, r0=0.5, b2=0.7, r2=2.1, alpha=1.2),
+    dict(b0=1.0, r0=1.0, b2=1.0, r2=1.5, b3=1.0, r3=0.0, u_max=2.0,
+         atoms=[(5.0, 0.3)]),
+    dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0, atoms=[(5.0, 0.3)]),
+    dict(b0=3.0, r0=1.0, b1=6.0, r1=2.0), dict(b0=1.0, r0=2.0, b1=2.0, r1=3.0),
+    dict(b0=gamma(1.5), r0=2.0, b2=1.0, r2=2.5), dict(b0=1.0, r0=1.0),
+    dict(b0=1.0, r0=1.0, b1=1.0, r1=4.0), dict(b0=1.0, r0=0.0),
+    dict(b0=1.0, r0=2.0), dict(b0=2.0, r0=1.0),
+    dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0),
+    dict(b0=1e-300, r0=0.0, b3=1.0, r3=0.0, u_max=1.0, atoms=[(5.0, 2.0)]),
+    dict(b0=1e-6, r0=1.0, b2=1.0, r2=0.0, alpha=1.2),
+    dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.5, r2=1.0),
+    dict(b0=1e-3, r0=0.0, b2=1.0, r2=0.0, u_max=5.0),
+    dict(b0=1e-3, r0=0.0, b3=94_000.0, r3=0.0, u_max=0.05,
+         atoms=[(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)]),
+    dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5, b3=0.3, r3=1.0,
+         u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)]),
+    *[dict(b0=1.0, r0=r1 - 1.0, b1=2.0, r1=r1) for r1 in (1.5, 2.5, 3.0)],
+    *[dict(b0=gamma(1.5), r0=r2 - 0.5, b2=1.0, r2=r2)
+      for r2 in (1.3, 1.7, 2.0)],
+]
+
+# a drift of -1e-300 u^-1 overtakes the jump term near infinity only past
+# u = 1e300 (Gamma(alpha) u^-alpha on full support, m2 / (2 u^2) past a cut
+# at 1e8), where no grid reaches: the exact sign there is -1, the grid
+# reads +1
+BEYOND_THE_GRID = [
+    dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0),
+    dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0, u_max=1e8),
+]
+
+
+def test_exact_verdicts_agree_with_the_grid_path_where_it_decides():
+    import nlbranch.criteria as crit
+    cfg = CriteriaConfig()
+    grid = [dict(b0=gamma(alpha), r0=1.0, b2=1.0, r2=r2, alpha=alpha,
+                 u_max=u_max) for alpha, u_max, r2 in _cut_grid()]
+    for params in [*TEST_POWER_LAWS, *grid, *BEYOND_THE_GRID]:
+        model = make_model(**params)
+        exact, numeric = classify(model, cfg), crit._classify_numeric(model, cfg)
+        assert exact.method == "symbolic"
+        decided = [(e, n) for e, n in zip(verdicts(exact), verdicts(numeric))
+                   if n.value != "inconclusive"]
+        if params in BEYOND_THE_GRID:
+            assert exact.evidence["phi_sign_near_infinity"] == -1
+            assert numeric.evidence["phi_sign_near_infinity"] == 1
+        else:
+            assert all(e == n for e, n in decided), params
 
 
 def test_classify_report_serializes():
@@ -420,8 +616,7 @@ def test_h_rho_scale_linearity():
 
 def _tabulated_jump_model(u_max=None):
     # tabulated drift near u with a critical-order jump rate: the numeric
-    # path, with the k-integrals (and on a cut support the phi moments)
-    # all by quadrature
+    # path, with the k-integrals by quadrature
     tab = Tabulated(tuple((u, u * (1.0 + 0.05 * math.sin(i)))
                           for i, u in enumerate(np.logspace(-3, 8, 12))))
     return validate(ModelSpec(
@@ -439,8 +634,7 @@ def test_classify_batched_values_equal_one_point_calls(u_max):
     tally = QuadTally()
     for key, grid in (("phi_small", cfg.small_u_grid),
                       ("phi_large", cfg.large_u_grid)):
-        assert ev[key] == [[u, phi_with_scale(model, u, cfg.quad_tol, tally)[0]]
-                           for u in grid]
+        assert ev[key] == [[u, phi_with_scale(model, u)[0]] for u in grid]
     k_tally = QuadTally()
     for rho in RHO_SCAN:
         assert ev["h_large"][str(rho)] == [
@@ -476,15 +670,10 @@ def test_numeric_classify_shares_integrand_calls(monkeypatch):
 # grid evaluation: each rate called once per grid
 
 
-CUT_WITH_ATOMS = dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
-                      b3=0.7, r3=1.0, u_max=5.0,
-                      atoms=((8.0, 0.5), (12.0, 0.3), (20.0, 0.2)))
-
-
-def _phi_values_per_point(model, us, tol):
+def _phi_values_per_point(model, us):
     """The drift index one state at a time, each rate called per point."""
     import nlbranch.criteria as crit
-    moments = crit._quadratic_jump_moments(model, us, tol, None)
+    moments = crit._quadratic_jump_moments(model, np.array(us))
     out = []
     for u, moment in zip(us, moments):
         a2 = float(model.a2(u))
@@ -534,8 +723,7 @@ def test_grid_values_equal_per_point_loops():
     h_us = list(cfg.large_u_grid) * len(RHO_SCAN)
     h_rhos = [rho for rho in RHO_SCAN for _ in cfg.large_u_grid]
     for model in _grid_models():
-        assert crit._phi_values(model, us, cfg.quad_tol, None) \
-            == _phi_values_per_point(model, us, cfg.quad_tol)
+        assert crit._phi_values(model, us) == _phi_values_per_point(model, us)
         assert crit._h_values(model, h_us, h_rhos, cfg.quad_tol, None) \
             == _h_values_per_point(model, h_us, h_rhos, cfg.quad_tol)
 

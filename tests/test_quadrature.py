@@ -161,10 +161,54 @@ def test_target_below_roundoff_floor_raises_at_once():
 
 def test_rounds_that_only_retire_panels_keep_refining():
     # around an interior singularity panels shrink below the minimum width
-    # and retire, and some rounds retire panels without bisecting any; the
-    # job must go on to its budget, not return unconverged
+    # and retire; the job must raise, not return unconverged
     def f(v):
         return np.abs(v - math.pi / 10.0) ** -0.9
 
     with pytest.raises(QuadratureError, match="no convergence"):
         integrate_unit(f, tol=1e-10, budget=200000)
+
+
+def test_error_no_refinement_can_reduce_raises_at_once():
+    # the panel holding the singularity reaches the minimum width carrying
+    # a 3e-4 share of the value, far above tol; without the rule the run
+    # spent its whole budget of 1e6 evaluations
+    def f(v):
+        return np.abs(v - math.pi / 10.0) ** -0.9
+
+    with pytest.raises(QuadratureError, match="no convergence possible") as exc:
+        integrate_unit(f, tol=1e-10)
+    assert exc.value.partial.evaluations <= 100_000
+
+
+def _job_with(panels):
+    """A job whose heap holds the (lo, hi, value, error) panels."""
+    import heapq
+    from nlbranch.numerics.quadrature import _IDENTITY, _Job
+
+    job = _Job()
+    for lo, hi, v, e in panels:
+        heapq.heappush(job.heap, (-e, job.seq, _IDENTITY, 1.0, lo, hi, v, e))
+        job.seq += 1
+        job.live_value += v
+        job.live_error += e
+        job.mass += abs(v)
+    return job
+
+
+def test_retired_error_the_value_can_still_outgrow_keeps_refining():
+    # a panel at the minimum width retires with error 1e-9 while the value
+    # reads 2, above tol * |value| = 4e-10; the open panel's error of 5
+    # lets the value still grow to 7, where 1e-9 meets the target, so the
+    # open panel is bisected
+    from nlbranch.numerics.quadrature import _IDENTITY
+
+    retired = (0.3, 0.3 + 1e-16, 1.0, 1e-9)
+    job = _job_with([retired, (0.5, 1.0, 1.0, 5.0)])
+    panels = job.split(tol=2e-10, budget=10 ** 6, min_width=1e-14)
+    assert panels == [(_IDENTITY, 1.0, 0.5, 0.75), (_IDENTITY, 1.0, 0.75, 1.0)]
+    assert job.frozen_error == 1e-9
+    # with an open error of 0.5 no value within reach can meet it
+    job = _job_with([retired, (0.5, 1.0, 1.0, 0.5)])
+    with pytest.raises(QuadratureError, match="no convergence possible"):
+        job.split(tol=2e-10, budget=10 ** 6, min_width=1e-14)

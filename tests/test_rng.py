@@ -173,3 +173,49 @@ def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
         assert np.array_equal(alone.poissons(small),
                               mixed.poissons(rates)[:small.size])
     assert np.array_equal(alone.counters(), mixed.counters()[:small.size])
+
+
+def _poisson_search(lam, u, p0):
+    """The textbook sequential search, one lane at a time, from
+    P(0) = p0."""
+    out = []
+    for rate, v, p in zip(lam.tolist(), u.tolist(), p0.tolist()):
+        n, cdf = 0, p
+        while v > cdf:
+            n += 1
+            p *= rate / n
+            cdf += p
+        out.append(n)
+    return out
+
+
+def test_poisson_inversion_equals_the_textbook_search():
+    from nlbranch.numerics.rng import _poisson_inversion
+    gen = np.random.default_rng(2024)
+    lam = np.exp(gen.uniform(np.log(1e-4), np.log(500.0), 20_000))
+    u = gen.uniform(size=lam.size)
+    assert _poisson_inversion(lam, u).tolist() \
+        == _poisson_search(lam, u, np.exp(-lam))
+
+
+def test_poisson_count_in_the_rounding_gap_below_one():
+    # at the top uniforms the cumulative sum stalls below u; the search
+    # ends at the last count that grew it, whatever the block's largest rate
+    from nlbranch.numerics.rng import _poisson_inversion
+    top = np.array([1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52])
+    assert _poisson_inversion(np.full(2, 0.1), top).tolist() == [9, 9]
+    for lam in (1e-4, 0.1, 3.0, 60.0, 499.0):
+        alone = _poisson_inversion(np.full(2, lam), top)
+        beside = _poisson_inversion(np.array([lam, lam, 499.0]),
+                                    np.array([*top, 0.5]))
+        assert alone.tolist() == beside[:2].tolist()
+        assert (alone > lam).all()
+
+
+def test_poisson_search_raises_at_its_bound(monkeypatch):
+    # the count at u = 0.999 and rate 100 is about 131, past a bound of
+    # 100 + 25 terms
+    from nlbranch.numerics import rng
+    monkeypatch.setattr(rng, "_POISSON_SEARCH_SD", 0.0)
+    with pytest.raises(RuntimeError, match="Poisson search reached 125"):
+        rng._poisson_inversion(np.array([100.0, 1.0]), np.array([0.999, 0.5]))
