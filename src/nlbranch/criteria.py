@@ -13,15 +13,16 @@ The classifier rests on three scalar diagnostics of the model at state u:
   super-logarithmic growth drags it down in finite time ("comes down
   from infinity").
 
-For power-law models, on full support, on a support cut at u_max and
-with atoms, the signs and growth orders are decided exactly: phi near
-zero and near infinity is a short sum of (coefficient, exponent, log
-power) terms, exact or a convergent series carried to a fixed order, and
-h_rho's channels are nonnegative powers.  Terms that cancel to every
-order carried, and models the two infinity rules do not cover, read
-inconclusive.  Tabulated rates are evaluated on configurable grids and
-downgraded to inconclusive when the evidence is mixed.  phi has closed
-forms everywhere; only the k-integrals of the grid path use quadrature.
+Every model the package accepts is decided exactly.  Near zero and near
+infinity each rate is a short sum of powers: a power law is one term,
+and a tabulated rate is constant past its last knot and constant or
+affine below its first positive knot.  So phi at each end is a short
+sum of (coefficient, exponent, log power) terms, exact or a convergent
+series carried to a fixed order, and h_rho's channels are nonnegative
+powers.  Terms that cancel to every order carried, and models the two
+infinity rules do not cover, read inconclusive.  phi has closed forms
+everywhere and classify makes no quadrature call; the k-integrals of
+``h_rho`` use quadrature.
 """
 
 import math
@@ -42,7 +43,6 @@ __all__ = [
     "Verdict",
     "InfinityBehavior",
     "BoundaryReport",
-    "RHO_SCAN",
     "phi",
     "phi_with_scale",
     "phi_by_quadrature",
@@ -59,8 +59,6 @@ __all__ = [
     "linear_test_function",
     "log_power_test_function",
 ]
-
-RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
 _EXPONENT_TOL = 1e-12
 _COEF_REL_TOL = 1e-12
@@ -81,10 +79,9 @@ class InfinityBehavior(str, Enum):
 
 @dataclass
 class CriteriaConfig:
-    """Evaluation grids and tolerances for the classifier."""
+    """The states at which the classifier's evidence prints phi."""
     small_u_grid: Tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     large_u_grid: Tuple[float, ...] = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         small, large = self.small_u_grid, self.large_u_grid
@@ -537,7 +534,7 @@ class BoundaryReport:
     no_extinction: Verdict
     no_explosion: Verdict
     infinity_behavior: InfinityBehavior
-    method: str  # "symbolic" or "numeric"
+    method: str  # always "symbolic": every model is decided exactly
     evidence: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -566,13 +563,31 @@ def _merge_power_terms(terms):
     return sorted(kept, key=lambda t: (t[1], t[2]))
 
 
-def _phi_expansions(model: ValidatedModel, coefficients):
+def _rate_ends(model: ValidatedModel):
+    """The four rates' (coefficient, exponent) terms near zero and, as a
+    second tuple, near infinity."""
+    spec = model.spec
+    return tuple(zip(spec.a0.end_terms(), spec.a1.end_terms(),
+                     spec.a2.end_terms(), spec.a3.end_terms()))
+
+
+def _phi_expansions(model: ValidatedModel, zero_rates, inf_rates):
     """phi near zero and near infinity as (coefficient, exponent, log
     power) terms, each with the exponent of the first order it leaves out,
-    None where the terms are exact; exact at both ends, they are one list.
+    None where the terms are exact; exact and alike at both ends, they are
+    one list.  ``zero_rates`` and ``inf_rates`` are ``_rate_ends``."""
+    zero = _phi_end(model, zero_rates, True)
+    if zero[1] is None and zero_rates == inf_rates:
+        return zero, zero
+    return zero, _phi_end(model, inf_rates, False)
 
-    Drift, diffusion and the full-support jump moment are single powers.
-    On a cut support the moment is, for u < u_max,
+
+def _phi_end(model: ValidatedModel, rates, toward_zero):
+    """phi's terms at one end from the rates' terms there, and the
+    exponent of the first order they leave out (see ``_phi_expansions``).
+
+    Drift, diffusion and the full-support jump moment are single powers
+    per rate term.  On a cut support the moment is, for u < u_max,
     Gamma(alpha) u^-alpha - c u_max^(1-alpha) / ((alpha-1) u)
     - (c u_max^-alpha / alpha) ln u + c u_max^-alpha (ln u_max / alpha
     + 1/alpha^2) + sum_k (-1)^(k+1) c u_max^(-alpha-k) u^k / (k (alpha+k)),
@@ -580,46 +595,63 @@ def _phi_expansions(model: ValidatedModel, coefficients):
     m_n = c u_max^(n-alpha) / (n-alpha).  The atoms enter through
     log1p(z/u) = ln z - ln u + log1p(u/z) near zero and its power series
     in z/u near infinity.  Each series carries _SERIES_TERMS orders.
-    ``coefficients`` are the model's ``power_coefficients()``.
     """
-    (b0, r0), (b1, r1), (b2, r2), (b3, r3) = coefficients
+    t0, t1, t2, t3 = rates
     alpha = model.alpha
-    cut_jumps = b2 > 0.0 and not model.full_support
-    atoms = b3 > 0.0 and not model.nu_empty
-    exact = [(-b0, r0 - 1.0, 0)]
-    if b1 > 0.0:
-        exact.append((0.5 * b1, r1 - 2.0, 0))
-    if b2 > 0.0:
-        exact.append((model.gamma_alpha * b2, r2 - alpha, 0))
-    if not (cut_jumps or atoms):
-        return (exact, None), (exact, None)   # one list for both ends
-    zero, inf = exact, exact[:-1] if cut_jumps else list(exact)
-    zero_cuts, inf_cuts = [], []
+    cut_jumps = bool(t2) and not model.full_support
+    atoms = bool(t3) and not model.nu_empty
+    terms = [(-b0, r0 - 1.0, 0) for b0, r0 in t0]
+    terms += [(0.5 * b1, r1 - 2.0, 0) for b1, r1 in t1]
+    if toward_zero or not cut_jumps:
+        terms += [(model.gamma_alpha * b2, r2 - alpha, 0) for b2, r2 in t2]
+    cuts = []
     orders = range(1, _SERIES_TERMS + 1)
     if cut_jumps:
-        c, um = b2 * model.c_alpha, model.u_max
-        zero += [(-c * um ** (1.0 - alpha) / (alpha - 1.0), r2 - 1.0, 0),
-                 (-c * um ** -alpha / alpha, r2, 1),
-                 (c * um ** -alpha * (math.log(um) / alpha + alpha ** -2),
-                  r2, 0)]
-        zero += [((-1) ** (k + 1) * c * um ** (-alpha - k)
-                  / (k * (alpha + k)), r2 + k, 0) for k in orders]
-        inf += [((-1) ** n * c * um ** (n - alpha) / (n * (n - alpha)),
-                 r2 - n, 0) for n in range(2, _SERIES_TERMS + 2)]
-        zero_cuts.append(r2 + _SERIES_TERMS + 1)
-        inf_cuts.append(r2 - _SERIES_TERMS - 2)
+        um = model.u_max
+        for b2, r2 in t2:
+            c = b2 * model.c_alpha
+            if toward_zero:
+                terms += [(-c * um ** (1.0 - alpha) / (alpha - 1.0),
+                           r2 - 1.0, 0),
+                          (-c * um ** -alpha / alpha, r2, 1),
+                          (c * um ** -alpha
+                           * (math.log(um) / alpha + alpha ** -2), r2, 0)]
+                terms += [((-1) ** (k + 1) * c * um ** (-alpha - k)
+                           / (k * (alpha + k)), r2 + k, 0) for k in orders]
+            else:
+                terms += [((-1) ** n * c * um ** (n - alpha)
+                           / (n * (n - alpha)), r2 - n, 0)
+                          for n in range(2, _SERIES_TERMS + 2)]
+        cuts.append(_cut(t2, toward_zero, _SERIES_TERMS + 1,
+                         _SERIES_TERMS + 2))
     if atoms:
         z, w = model.nu_z, model.nu_w
-        zero += [(b3 * float(w.sum()), r3, 1),
-                 (-b3 * float((w * np.log(z)).sum()), r3, 0)]
-        zero += [((-1) ** k * b3 * float((w * z ** -k).sum()) / k, r3 + k, 0)
-                 for k in orders]
-        inf += [((-1) ** n * b3 * float((w * z ** n).sum()) / n, r3 - n, 0)
-                for n in orders]
-        zero_cuts.append(r3 + _SERIES_TERMS + 1)
-        inf_cuts.append(r3 - _SERIES_TERMS - 1)
-    return ((zero, min(zero_cuts, default=None)),
-            (inf, max(inf_cuts, default=None)))
+        if toward_zero:
+            mass, logs = float(w.sum()), float((w * np.log(z)).sum())
+            sums = [float((w * z ** -k).sum()) for k in orders]
+            for b3, r3 in t3:
+                terms += [(b3 * mass, r3, 1), (-b3 * logs, r3, 0)]
+                terms += [((-1) ** k * b3 * m / k, r3 + k, 0)
+                          for k, m in zip(orders, sums)]
+        else:
+            sums = [float((w * z ** n).sum()) for n in orders]
+            for b3, r3 in t3:
+                terms += [((-1) ** n * b3 * m / n, r3 - n, 0)
+                          for n, m in zip(orders, sums)]
+        cuts.append(_cut(t3, toward_zero, _SERIES_TERMS + 1,
+                         _SERIES_TERMS + 1))
+    if not cuts:
+        return terms, None
+    return terms, min(cuts) if toward_zero else max(cuts)
+
+
+def _cut(rate_terms, toward_zero, below, above):
+    """Exponent of the first order a series times a rate leaves out: the
+    series omits u^(r+below) near zero, u^(r-above) near infinity, for
+    each term u^r of the rate (its terms run in increasing exponent)."""
+    if toward_zero:
+        return rate_terms[0][1] + below
+    return rate_terms[-1][1] - above
 
 
 def _leading_sign(merged, cut, toward_zero):
@@ -641,30 +673,44 @@ def _leading_sign(merged, cut, toward_zero):
     return sign if decided else None
 
 
-def _h_growth(model: ValidatedModel, coefficients):
+def _h_growth(model: ValidatedModel, inf_rates):
     """(exponent, log power) of the leading order of h_rho at infinity,
-    None when h vanishes.  Each channel is nonnegative, so none cancels:
-    diffusion gives u^(r1-2); heavy jumps u^(r2-alpha) (ln u)^-2 on full
-    support and u^(r2-2) (ln u)^-2 on a cut one; atoms u^(r3-2) (ln u)^-2."""
-    _, (b1, r1), (b2, r2), (b3, r3) = coefficients
+    None when h vanishes.  Each channel is nonnegative, so none cancels;
+    with r the largest exponent of its rate near infinity, the last of
+    its terms, diffusion gives u^(r-2); heavy jumps u^(r-alpha) (ln u)^-2
+    on full support and u^(r-2) (ln u)^-2 on a cut one; atoms u^(r-2)
+    (ln u)^-2."""
+    _, t1, t2, t3 = inf_rates
     orders = []
-    if b1 > 0.0:
-        orders.append((r1 - 2.0, 0))
-    if b2 > 0.0:
-        orders.append((r2 - (model.alpha if model.full_support else 2.0), -2))
-    if b3 > 0.0 and not model.nu_empty:
-        orders.append((r3 - 2.0, -2))
+    if t1:
+        orders.append((t1[-1][1] - 2.0, 0))
+    if t2:
+        orders.append((t2[-1][1]
+                       - (model.alpha if model.full_support else 2.0), -2))
+    if t3 and not model.nu_empty:
+        orders.append((t3[-1][1] - 2.0, -2))
     return max(orders, default=None)
 
 
-def _classify_symbolic(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
-    coefficients = model.power_coefficients()
-    (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, coefficients)
+def classify(model: ValidatedModel,
+             cfg: Optional[CriteriaConfig] = None) -> BoundaryReport:
+    """Classify the four boundary behaviors of a validated model.
+
+    Every model is decided exactly, with no quadrature: each rate is a
+    short sum of powers near zero and near infinity, so the verdicts are
+    read from the leading terms of phi's expansions at each end and from
+    the growth order of h_rho.  The configured grids only say where the
+    evidence prints phi.
+    """
+    cfg = cfg or CriteriaConfig()
+    zero_rates, inf_rates = _rate_ends(model)
+    (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, zero_rates,
+                                                       inf_rates)
     terms_zero = _merge_power_terms(zero)
     terms_inf = terms_zero if inf is zero else _merge_power_terms(inf)
     sign_zero = _leading_sign(terms_zero, zero_cut, True)
     sign_inf = _leading_sign(terms_inf, inf_cut, False)
-    growth = _h_growth(model, coefficients)
+    growth = _h_growth(model, inf_rates)
     h_superlog = growth is not None and growth[0] > _EXPONENT_TOL
     h_bounded = not h_superlog
 
@@ -708,106 +754,3 @@ def _phi_grids(model, cfg):
     small, large = cfg.small_u_grid, cfg.large_u_grid
     phis = _phi_values(model, [*small, *large])
     return phis[:len(small)], phis[len(small):]
-
-
-def _grid_sign(vals, scales):
-    """Uniform sign over a grid ordered toward its limit, else None.
-
-    Requires every point on the same side (relative to its own term
-    scale) and a monotone trend over the last three points.
-    """
-    vals = np.asarray(vals, dtype=float)
-    tols = 1e-9 * np.asarray(scales, dtype=float)
-    if np.all(np.abs(vals) <= tols):
-        return 0
-    if np.all(vals >= -tols):
-        sign = 1
-    elif np.all(vals <= tols):
-        sign = -1
-    else:
-        return None
-    if len(vals) >= 3:
-        a, b, c = vals[-3:]
-        slack = 1e-9 * max(abs(a), abs(b), abs(c))
-        if not (a <= b + slack <= c + 2 * slack
-                or a >= b - slack >= c - 2 * slack):
-            return None
-    return sign
-
-
-def _classify_numeric(model: ValidatedModel, cfg: CriteriaConfig) -> BoundaryReport:
-    tally = QuadTally()
-    phi_small, phi_large = _phi_grids(model, cfg)
-    sign_zero = _grid_sign([v for v, _ in phi_small],
-                           [s for _, s in phi_small])
-    sign_inf = _grid_sign([v for v, _ in phi_large],
-                          [s for _, s in phi_large])
-
-    grid = list(cfg.large_u_grid)
-    h_all = _h_values(model, grid * len(RHO_SCAN),
-                      [rho for rho in RHO_SCAN for _ in grid], cfg.quad_tol,
-                      tally)
-    h_grids = {rho: h_all[i * len(grid):(i + 1) * len(grid)]
-               for i, rho in enumerate(RHO_SCAN)}
-
-    def bounded_evidence(hs):
-        if len(hs) < 3:
-            return False
-        a, b, c = hs[-3:]
-        slack = 1e-9 * max(abs(a), abs(b), abs(c), 1e-300)
-        return a >= b - slack >= c - 2 * slack
-
-    def superlog_evidence(hs, rho):
-        w = [h * math.log(u) ** (-rho - 2.0)
-             for h, u in zip(hs, cfg.large_u_grid)]
-        if len(w) < 3:
-            return False
-        increasing = w[-3] <= w[-2] <= w[-1]
-        return increasing and w[-1] >= 10.0 * w[0]
-
-    infinity = InfinityBehavior.INCONCLUSIVE
-    rho_used = None
-    for rho in RHO_SCAN:
-        hs = h_grids[rho]
-        if sign_inf is not None and sign_inf <= 0 and bounded_evidence(hs):
-            infinity = InfinityBehavior.STAYS_INFINITE
-            rho_used = rho
-            break
-        if sign_inf is not None and sign_inf >= 0 and superlog_evidence(hs, rho):
-            infinity = InfinityBehavior.COMES_DOWN_FROM_INFINITY
-            rho_used = rho
-            break
-
-    no_extinction = (Verdict.HOLDS if sign_zero is not None and sign_zero <= 0
-                     else Verdict.INCONCLUSIVE)
-    no_explosion = (Verdict.HOLDS if sign_inf is not None and sign_inf >= 0
-                    else Verdict.INCONCLUSIVE)
-    evidence = {
-        "phi_small": [[u, v] for u, (v, _) in zip(cfg.small_u_grid, phi_small)],
-        "phi_large": [[u, v] for u, (v, _) in zip(cfg.large_u_grid, phi_large)],
-        "phi_sign_near_zero": sign_zero,
-        "phi_sign_near_infinity": sign_inf,
-        "h_large": {str(r): [[u, h] for u, h in zip(cfg.large_u_grid, hs)]
-                    for r, hs in h_grids.items()},
-        "rho": rho_used,
-        "quad_evaluations": tally.evaluations,
-        "quad_worst_rel_error": tally.worst_rel_error,
-    }
-    return BoundaryReport(no_extinction, no_explosion, infinity,
-                          "numeric", evidence)
-
-
-def classify(model: ValidatedModel,
-             cfg: Optional[CriteriaConfig] = None) -> BoundaryReport:
-    """Classify the four boundary behaviors of a validated model.
-
-    Power-law models, on any support and with any atoms, are decided
-    exactly from the leading terms of phi's expansions and the growth
-    order of h_rho; tabulated rates are evaluated on the configured grids
-    and any mixed evidence yields an inconclusive verdict rather than a
-    guess.
-    """
-    cfg = cfg or CriteriaConfig()
-    if model.is_power_law:
-        return _classify_symbolic(model, cfg)
-    return _classify_numeric(model, cfg)

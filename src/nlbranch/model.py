@@ -6,6 +6,7 @@ U that is either all of (0,inf) or a bounded cut (0,u_max], and a finite
 atomic measure living outside U.
 """
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -51,6 +52,12 @@ class PowerLaw:
     def is_zero(self) -> bool:
         return self.b == 0.0
 
+    def end_terms(self):
+        """(coefficient, exponent) terms of the rate near 0 and near
+        infinity: b u^r at both ends, one tuple, and none when b = 0."""
+        terms = () if self.b == 0.0 else ((self.b, self.r),)
+        return terms, terms
+
 
 @dataclass(frozen=True)
 class Tabulated:
@@ -78,6 +85,23 @@ class Tabulated:
     @property
     def is_zero(self) -> bool:
         return all(v == 0.0 for _, v in self.knots)
+
+    def end_terms(self):
+        """(coefficient, exponent) terms of the rate near 0 and near
+        infinity in increasing exponent, exact on an interval at each end,
+        zero terms left out.  Past the last knot the rate is its value;
+        below the first positive knot it is the first value, or, with a
+        knot at u <= 0, the segment spanning 0+: intercept u^0 plus slope
+        u^1."""
+        xs, ys = self._xs.tolist(), self._ys.tolist()
+        i = bisect.bisect_right(xs, 0.0)   # the knots at u <= 0
+        if 0 < i < len(xs):
+            slope = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+            zero = ((ys[i - 1] - slope * xs[i - 1], 0.0), (slope, 1.0))
+        else:
+            zero = ((ys[0] if i == 0 else ys[-1], 0.0),)
+        return (tuple(t for t in zero if t[0] != 0.0),
+                ((ys[-1], 0.0),) if ys[-1] != 0.0 else ())
 
 
 RateFunction = Union[PowerLaw, Tabulated]

@@ -87,6 +87,7 @@ UNREAD_KEYS = [
     (GBM_CONFIG.replace("adaptive = true", "adaptve = true"), "sim", "adaptve"),
     (GBM_CONFIG + "\n[simulation]\ndt = 1e-3\n", "simulation", ""),
     (GBM_CONFIG + "\n[criteria]\nrho = 3.0\n", "criteria", "rho"),
+    (GBM_CONFIG + "\n[criteria]\nquad_tol = 1e-9\n", "criteria", "quad_tol"),
     (GBM_CONFIG.replace("[model.a1]\ntype = powerlaw\n",
                         "[model.a1]\ntype = powerlaw\nknots = 1:2\n"),
      "model.a1", "knots"),
@@ -164,7 +165,6 @@ format = CSV
 [criteria]
 small_u_grid = 0.5, 0.05, 0.005
 large_u_grid = 20 200 2000
-quad_tol = 1e-9
 """)
 
 
@@ -370,15 +370,22 @@ horizon_t = 1.0
 """
 
 
-def test_cli_classify_tabulated_inconclusive(tmp_path):
-    # mixed-sign drift index on the small grid downgrades the verdict
+def test_cli_classify_tabulated(tmp_path):
+    # the drift table is 5 below its first knot, so phi is -5/u + 1 near
+    # zero although it changes sign on the small grid; past the last knot
+    # phi is -200/u + 1 > 0 with a bounded h_rho, which the rules leave open
     cfg = write(tmp_path, "tab.ini", TABULATED_CONFIG)
     out = str(tmp_path / "rep.json")
     assert main(["classify", "--config", cfg, "--out", out]) == 0
     rep = json.loads(open(out).read())
-    assert rep["results"]["method"] == "numeric"
-    assert rep["results"]["no_extinction"] == "inconclusive"
-    assert rep["results"]["evidence"]["phi_small"]
+    results = rep["results"]
+    assert results["method"] == "symbolic"
+    assert (results["no_extinction"], results["no_explosion"],
+            results["infinity_behavior"]) == ("holds", "holds", "inconclusive")
+    signs = [v for _, v in results["evidence"]["phi_small"]]
+    assert min(signs) < 0.0 < max(signs)
+    assert results["evidence"]["phi_terms"]["near_zero"][0] == [-5.0, -1.0, 0]
+    assert "quad_evaluations" not in results["evidence"]
     assert rep["config"]["model"]["a0"]["type"] == "tabulated"
 
 

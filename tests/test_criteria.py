@@ -5,7 +5,6 @@ import pytest
 
 from nlbranch.cli import CRITICAL_FAMILIES
 from nlbranch.criteria import (
-    RHO_SCAN,
     BoundaryReport,
     CriteriaConfig,
     InfinityBehavior,
@@ -45,6 +44,77 @@ GBM_CRITICAL, JUMP_CRITICAL, MIXED_CRITICAL = CRITICAL_FAMILIES.values()
 CUT_WITH_ATOMS = dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
                       b3=0.7, r3=1.0, u_max=5.0,
                       atoms=((8.0, 0.5), (12.0, 0.3), (20.0, 0.2)))
+
+
+def _tabulated_drift_model():
+    # tabulated drift b0 u on [0.01, 100], clamped outside
+    tab = Tabulated(tuple((u, 1.0 * u) for u in np.logspace(-2, 2, 41)))
+    return validate(ModelSpec(a0=tab, a1=PowerLaw(0.0, 0.0),
+                              a2=PowerLaw(0.0, 0.0), a3=PowerLaw(0.0, 0.0),
+                              mu=StableMeasure(1.5)))
+
+
+def _mixed_sign_model():
+    # drift table falling then rising, with diffusion 2 u^2
+    knots = ((0.001, 5.0), (0.01, 0.5), (1.0, 0.1), (10.0, 200.0))
+    return validate(ModelSpec(a0=Tabulated(knots), a1=PowerLaw(2.0, 2.0),
+                              a2=PowerLaw(0.0, 0.0), a3=PowerLaw(0.0, 0.0),
+                              mu=StableMeasure(1.5)))
+
+
+def _segment_at_zero_model():
+    # knots at u <= 0: near zero a0 = 1 + u and a1 = 2 u, so phi is
+    # -1/u - 1 + 1/u = -1 there, the u^-1 terms cancelling exactly
+    a0 = Tabulated(((-1.0, 0.0), (1.0, 2.0), (4.0, 2.0)))
+    a1 = Tabulated(((0.0, 0.0), (1.0, 2.0)))
+    return validate(ModelSpec(a0=a0, a1=a1, a2=PowerLaw(0.0, 0.0),
+                              a3=PowerLaw(0.0, 0.0), mu=StableMeasure(1.5)))
+
+
+def _tabulated_jump_model(u_max=None):
+    # tabulated drift near u on [1e-3, 1e8] with a critical-order jump
+    # rate
+    tab = Tabulated(tuple((u, u * (1.0 + 0.05 * math.sin(i)))
+                          for i, u in enumerate(np.logspace(-3, 8, 12))))
+    return validate(ModelSpec(
+        a0=tab, a1=PowerLaw(0.0, 0.0), a2=PowerLaw(1.0 / gamma(1.5), 1.5),
+        a3=PowerLaw(0.0, 0.0), mu=StableMeasure(1.5, u_max=u_max)))
+
+
+def _segment_at_zero_cut_model():
+    # a2 = 1 + u and a3 = 1 + u near zero, times the series of the cut
+    # support's jump moment and of the atoms
+    a2 = Tabulated(((-1.0, 0.0), (1.0, 2.0), (50.0, 2.0)))
+    a3 = Tabulated(((0.0, 1.0), (2.0, 3.0)))
+    return validate(ModelSpec(a0=PowerLaw(1.0, 1.0), a1=PowerLaw(0.0, 0.0),
+                              a2=a2, a3=a3, mu=StableMeasure(1.5, u_max=5.0),
+                              nu=FiniteMeasure(((8.0, 0.5),))))
+
+
+def _tabulated_diffusion_model():
+    # the table of test_model's clamping test as the diffusion rate
+    return validate(ModelSpec(a0=PowerLaw(1.0, 1.0),
+                              a1=Tabulated(((1.0, 2.0), (10.0, 4.0))),
+                              a2=PowerLaw(0.0, 0.0), a3=PowerLaw(0.0, 0.0),
+                              mu=StableMeasure(1.5)))
+
+
+def _tabulated_jump_cut_model():
+    return _tabulated_jump_model(5.0)
+
+
+def _tab_a2_model():
+    # a2 vanishes below u = 1, so part of the small grid has no jump term
+    tab_a2 = Tabulated(((1e-3, 0.0), (1.0, 0.0), (1e8, 3e11)))
+    return validate(ModelSpec(a0=PowerLaw(1.0, 1.0), a1=PowerLaw(0.0, 0.0),
+                              a2=tab_a2, a3=PowerLaw(0.5, 0.0),
+                              mu=StableMeasure(1.5, u_max=5.0),
+                              nu=FiniteMeasure(((9.0, 0.4),))))
+
+
+def _build(params):
+    """A model from make_model's keywords or from a builder above."""
+    return params() if callable(params) else make_model(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +424,71 @@ def test_classify_scale_invariance():
         assert verdicts(scaled) == verdicts(base)
 
 
-def test_classify_numeric_path_tabulated():
-    # tabulated drift approximating b0 u on [0.01, 100], clamped outside:
-    # the grid heuristic must not overreach; verdicts carry evidence
-    tab = Tabulated(tuple((u, 1.0 * u) for u in np.logspace(-2, 2, 41)))
-    spec = ModelSpec(a0=tab, a1=PowerLaw(0.0, 0.0), a2=PowerLaw(0.0, 0.0),
-                     a3=PowerLaw(0.0, 0.0), mu=StableMeasure(1.5))
-    rep = classify(validate(spec))
-    assert rep.method == "numeric"
-    assert rep.no_extinction == Verdict.HOLDS     # phi < 0 on the small grid
-    assert "phi_small" in rep.evidence and "h_large" in rep.evidence
-    assert len(rep.evidence["phi_large"]) == len(CriteriaConfig().large_u_grid)
+def test_classify_tabulated_exactly():
+    # past the table the drift is the last value, below it the first:
+    # phi reads -0.01 u^-1 near zero and -100 u^-1 near infinity, and no
+    # channel feeds h_rho
+    rep = classify(_tabulated_drift_model())
+    ev = rep.evidence
+    assert rep.method == "symbolic"
+    assert verdicts(rep) == (Verdict.HOLDS, Verdict.INCONCLUSIVE,
+                             InfinityBehavior.STAYS_INFINITE)
+    assert ev["phi_terms"]["near_zero"] == [[-0.01, -1.0, 0]]
+    assert ev["phi_terms"]["near_infinity"] == [[-100.0, -1.0, 0]]
+    assert ev["h_growth"] is None and ev["rho"] is None
+    assert len(ev["phi_small"]) == len(CriteriaConfig().small_u_grid)
+    assert len(ev["phi_large"]) == len(CriteriaConfig().large_u_grid)
 
 
-def test_classify_numeric_mixed_sign_is_inconclusive():
-    # drift table rising then falling produces a mixed phi sign on the
-    # small grid: extinction verdict must downgrade
-    knots = ((0.001, 5.0), (0.01, 0.5), (1.0, 0.1), (10.0, 200.0))
-    spec = ModelSpec(a0=Tabulated(knots), a1=PowerLaw(2.0, 2.0),
-                     a2=PowerLaw(0.0, 0.0), a3=PowerLaw(0.0, 0.0),
-                     mu=StableMeasure(1.5))
-    rep = classify(validate(spec))
-    assert rep.method == "numeric"
-    signs = [v for _, v in rep.evidence["phi_small"]]
+def test_classify_tabulated_mixed_sign_drift_holds():
+    # the grid sees phi change sign, but below the first knot a0 is 5, so
+    # phi is -5/u + 1 near zero: no extinction holds.  Past the last knot
+    # it is -200/u + 1, and the diffusion's h_rho is bounded
+    rep = classify(_mixed_sign_model())
+    ev = rep.evidence
+    signs = [v for _, v in ev["phi_small"]]
     assert min(signs) < 0.0 < max(signs)
-    assert rep.no_extinction == Verdict.INCONCLUSIVE
+    assert ev["phi_terms"]["near_zero"] == [[-5.0, -1.0, 0], [1.0, 0.0, 0]]
+    assert verdicts(rep) == (Verdict.HOLDS, Verdict.HOLDS,
+                             InfinityBehavior.INCONCLUSIVE)
+    assert ev["infinity_gap"] == ("the rules leave a gap: phi > 0 near "
+                                  "infinity with h_rho bounded")
+
+
+def test_classify_tabulated_segment_spanning_zero():
+    # a knot at u <= 0 gives the first segment's intercept and slope
+    model = _segment_at_zero_model()
+    assert model.spec.a0.end_terms() == (((1.0, 0.0), (1.0, 1.0)),
+                                         ((2.0, 0.0),))
+    assert model.spec.a1.end_terms() == (((2.0, 1.0),), ((2.0, 0.0),))
+    rep = classify(model)
+    ev = rep.evidence
+    assert ev["phi_terms"]["near_zero"] == [[-1.0, 0.0, 0]]
+    assert ev["phi_sign_near_zero"] == -1
+    for u in CriteriaConfig().small_u_grid[1:]:
+        v, scale = phi_with_scale(model, u)
+        assert abs(v + 1.0) <= 1e-12 * scale
+    assert verdicts(rep) == (Verdict.HOLDS, Verdict.INCONCLUSIVE,
+                             InfinityBehavior.STAYS_INFINITE)
+    assert ev["h_growth"] == [-2.0, 0]
+
+
+def test_classify_rate_zero_at_one_end():
+    # tab_a2 is 0 below u = 1 and 3e11 past u = 1e8: the jumps enter
+    # phi near infinity and h_rho, but not phi near zero
+    model = _tab_a2_model()
+    assert model.spec.a2.end_terms() == ((), ((3e11, 0.0),))
+    no_jumps = validate(ModelSpec(a0=model.spec.a0, a1=model.spec.a1,
+                                  a2=PowerLaw(0.0, 0.0), a3=model.spec.a3,
+                                  mu=model.spec.mu, nu=model.spec.nu))
+    rep, ref = classify(model), classify(no_jumps)
+    terms, ref_terms = rep.evidence["phi_terms"], ref.evidence["phi_terms"]
+    assert terms["near_zero"] == ref_terms["near_zero"]
+    assert terms["near_infinity"] != ref_terms["near_infinity"]
+    # u^(0-2) (ln u)^-2 from the jumps on the cut support and the atoms
+    assert rep.evidence["h_growth"] == [-2.0, -2]
+    assert verdicts(rep) == (Verdict.HOLDS, Verdict.INCONCLUSIVE,
+                             InfinityBehavior.STAYS_INFINITE)
 
 
 def _cut_grid():
@@ -477,20 +587,39 @@ def test_cut_moment_matches_the_nested_double_integral():
     dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0, atoms=[(5.0, 0.3)]),
     dict(b0=gamma(1.9), r0=1.0, b2=1.0, r2=2.4, alpha=1.9, u_max=5.0),
     dict(b0=1.0, r0=1.0, b2=1.0, r2=1.5, b3=1.0, r3=0.0, u_max=2.0,
-         atoms=[(5.0, 0.3)])])
+         atoms=[(5.0, 0.3)]),
+    _tabulated_drift_model, _mixed_sign_model, _segment_at_zero_model,
+    _tabulated_jump_model, _tabulated_jump_cut_model, _tab_a2_model,
+    _segment_at_zero_cut_model])
 def test_phi_expansions_reproduce_phi(params):
     # the terms the verdicts are read from, summed well inside the range
-    # of each series, against the closed forms
+    # of each series and below the first positive knot or beyond the last,
+    # against the closed forms
     import nlbranch.criteria as crit
-    m = make_model(**params)
-    (zero, _), (inf, _) = crit._phi_expansions(m, m.power_coefficients())
-    lowest, highest = m.u_max, max([m.u_max, *m.nu_z.tolist()])
+    m = _build(params)
+    (zero, _), (inf, _) = crit._phi_expansions(m, *crit._rate_ends(m))
+    knots = [f._xs for f in (m.spec.a0, m.spec.a1, m.spec.a2, m.spec.a3)
+             if isinstance(f, Tabulated)]
+    support = [] if m.full_support else [m.u_max]
+    lowest = min([*support, *(x[x > 0.0][0] for x in knots if x[-1] > 0.0)])
+    highest = max([*support, *m.nu_z.tolist(), *(x[-1] for x in knots)])
     for terms, us in ((zero, lowest * np.array([1e-4, 1e-3])),
                       (inf, highest * np.array([1e2, 1e3]))):
         for u in us:
             series = sum(c * u ** e * math.log(u) ** p for c, e, p in terms)
             value, scale = phi_with_scale(m, u)
             assert abs(series - value) <= 1e-12 * scale, (u, series, value)
+
+
+def test_expansions_leave_out_the_order_after_the_lowest_rate_term():
+    # near zero each series times a2 = 1 + u or a3 = 1 + u leaves out
+    # u^(_SERIES_TERMS+1) times the rate's u^0; near infinity the atoms'
+    # series times a3 = 3 leaves out u^-(_SERIES_TERMS+1)
+    import nlbranch.criteria as crit
+    m = _segment_at_zero_cut_model()
+    (_, zero_cut), (_, inf_cut) = crit._phi_expansions(m, *crit._rate_ends(m))
+    assert zero_cut == crit._SERIES_TERMS + 1
+    assert inf_cut == -crit._SERIES_TERMS - 1
 
 
 def test_leading_sign_reads_cancellation_to_every_carried_order():
@@ -518,6 +647,9 @@ NO_QUADRATURE_MODELS = {
     "atoms": dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0,
                   atoms=[(5.0, 0.3)]),
     "cut+atoms": CUT_WITH_ATOMS,
+    "tab-full": _tabulated_jump_model,
+    "tab-cut": _tabulated_jump_cut_model,
+    "tab-atoms": _tab_a2_model,
 }
 
 
@@ -532,63 +664,100 @@ def test_power_law_classify_makes_no_quadrature_call(name, monkeypatch):
     # every integrate_* routine refines through _run_adaptive
     monkeypatch.setattr(crit, "integrate_jobs", forbidden)
     monkeypatch.setattr(quadrature, "_run_adaptive", forbidden)
-    rep = classify(make_model(**NO_QUADRATURE_MODELS[name]))
+    rep = classify(_build(NO_QUADRATURE_MODELS[name]))
     assert rep.method == "symbolic"
     assert rep.evidence["rho"] is None
 
 
-# the power-law models of the test suite, besides the cut-support grid
-TEST_POWER_LAWS = [
-    GBM_CRITICAL, JUMP_CRITICAL, MIXED_CRITICAL, CUT_WITH_ATOMS,
-    dict(b0=1e-12, r0=5.0, b2=1.0, r2=1.5),
-    dict(b0=2.0, r0=0.5, b2=0.7, r2=2.1, alpha=1.2),
-    dict(b0=1.0, r0=1.0, b2=1.0, r2=1.5, b3=1.0, r3=0.0, u_max=2.0,
-         atoms=[(5.0, 0.3)]),
-    dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0, atoms=[(5.0, 0.3)]),
-    dict(b0=3.0, r0=1.0, b1=6.0, r1=2.0), dict(b0=1.0, r0=2.0, b1=2.0, r1=3.0),
-    dict(b0=gamma(1.5), r0=2.0, b2=1.0, r2=2.5), dict(b0=1.0, r0=1.0),
-    dict(b0=1.0, r0=1.0, b1=1.0, r1=4.0), dict(b0=1.0, r0=0.0),
-    dict(b0=1.0, r0=2.0), dict(b0=2.0, r0=1.0),
-    dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0),
-    dict(b0=1e-300, r0=0.0, b3=1.0, r3=0.0, u_max=1.0, atoms=[(5.0, 2.0)]),
-    dict(b0=1e-6, r0=1.0, b2=1.0, r2=0.0, alpha=1.2),
-    dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.5, r2=1.0),
-    dict(b0=1e-3, r0=0.0, b2=1.0, r2=0.0, u_max=5.0),
-    dict(b0=1e-3, r0=0.0, b3=94_000.0, r3=0.0, u_max=0.05,
-         atoms=[(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)]),
-    dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5, b3=0.3, r3=1.0,
-         u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)]),
-    *[dict(b0=1.0, r0=r1 - 1.0, b1=2.0, r1=r1) for r1 in (1.5, 2.5, 3.0)],
-    *[dict(b0=gamma(1.5), r0=r2 - 0.5, b2=1.0, r2=r2)
-      for r2 in (1.3, 1.7, 2.0)],
+H, S, D = (Verdict.HOLDS, InfinityBehavior.STAYS_INFINITE,
+           InfinityBehavior.COMES_DOWN_FROM_INFINITY)
+I = "inconclusive"
+
+# The models of the test suite besides the cut-support grid, each with the
+# verdicts the grid path reached on it before classify decided every model
+# exactly: None where it read inconclusive.  That path read phi's sign
+# and h_rho's trend on the small and large grids.
+TEST_MODELS = [
+    (GBM_CRITICAL, (H, H, S)), (JUMP_CRITICAL, (H, H, S)),
+    (MIXED_CRITICAL, (H, H, S)), (CUT_WITH_ATOMS, (H, None, S)),
+    (dict(b0=1e-12, r0=5.0, b2=1.0, r2=1.5), (None, None, None)),
+    (dict(b0=2.0, r0=0.5, b2=0.7, r2=2.1, alpha=1.2), (H, H, D)),
+    (dict(b0=1.0, r0=1.0, b2=1.0, r2=1.5, b3=1.0, r3=0.0, u_max=2.0,
+          atoms=[(5.0, 0.3)]), (H, None, S)),
+    (dict(b0=1.0, r0=1.0, b3=1.0, r3=0.0, u_max=2.0, atoms=[(5.0, 0.3)]),
+     (H, None, S)),
+    (dict(b0=3.0, r0=1.0, b1=6.0, r1=2.0), (H, H, S)),
+    (dict(b0=1.0, r0=2.0, b1=2.0, r1=3.0), (H, H, D)),
+    (dict(b0=gamma(1.5), r0=2.0, b2=1.0, r2=2.5), (H, H, D)),
+    (dict(b0=1.0, r0=1.0), (H, None, S)),
+    (dict(b0=1.0, r0=1.0, b1=1.0, r1=4.0), (H, H, D)),
+    (dict(b0=1.0, r0=0.0), (H, None, S)),
+    (dict(b0=1.0, r0=2.0), (H, None, S)),
+    (dict(b0=2.0, r0=1.0), (H, None, S)),
+    (dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0), (H, None, S)),
+    (dict(b0=1e-300, r0=0.0, b3=1.0, r3=0.0, u_max=1.0, atoms=[(5.0, 2.0)]),
+     (H, None, S)),
+    (dict(b0=1e-6, r0=1.0, b2=1.0, r2=0.0, alpha=1.2), (None, None, None)),
+    (dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.5, r2=1.0), (None, H, None)),
+    (dict(b0=1e-3, r0=0.0, b2=1.0, r2=0.0, u_max=5.0), (None, None, None)),
+    (dict(b0=1e-3, r0=0.0, b3=94_000.0, r3=0.0, u_max=0.05,
+          atoms=[(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)]), (H, None, S)),
+    (dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5, b3=0.3, r3=1.0,
+          u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)]), (H, None, S)),
+    *[(dict(b0=1.0, r0=r1 - 1.0, b1=2.0, r1=r1), grid)
+      for r1, grid in ((1.5, (H, H, S)), (2.5, (H, H, D)), (3.0, (H, H, D)))],
+    *[(dict(b0=gamma(1.5), r0=r2 - 0.5, b2=1.0, r2=r2), grid)
+      for r2, grid in ((1.3, (H, H, S)), (1.7, (H, H, None)),
+                       (2.0, (H, H, None)))],
+    (_tabulated_drift_model, (H, None, S)),
+    (_mixed_sign_model, (None, None, None)),
+    (_tabulated_jump_model, (H, None, None)),
+    (_tab_a2_model, (H, None, None)),
+    (_tabulated_diffusion_model, (None, None, S)),
 ]
 
-# a drift of -1e-300 u^-1 overtakes the jump term near infinity only past
-# u = 1e300 (Gamma(alpha) u^-alpha on full support, m2 / (2 u^2) past a cut
-# at 1e8), where no grid reaches: the exact sign there is -1, the grid
-# reads +1
+# the grid path's verdicts on the models of _cut_grid, in its order
+CUT_GRID_VERDICTS = [
+    *[(None, None, S), (H, None, S), (H, None, S)] * 4,
+    (None, None, S), (H, None, S), (H, None, None),
+    (None, None, S), (H, None, S), (H, H, None),
+    *[(None, None, S), (H, None, S), (H, H, None)] * 3,
+]
+
+# Models whose phi changes sign near infinity only past the grid's last
+# state, 1e8, with the grid's verdicts and the exact ones.  A drift of
+# -1e-300 u^-1 overtakes the jump term only past u = 1e300 (Gamma(alpha)
+# u^-alpha on full support, m2 / (2 u^2) past a cut at 1e8): the exact sign
+# is -1, the grid read +1.  The drift table of _tabulated_jump_model ends
+# at 1e8; past it the clamped -0.95 u^-1 falls below the cut-support
+# jump term m2 / (2 Gamma(1.5)) u^-0.5 near u = 1e16: the exact sign is +1,
+# the grid read -1.
 BEYOND_THE_GRID = [
-    dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0),
-    dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0, u_max=1e8),
+    (dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0), (None, H, None), (I, I, S)),
+    (dict(b0=1e-300, r0=0.0, b2=1.0, r2=0.0, u_max=1e8), (None, H, None),
+     (I, I, S)),
+    (_tabulated_jump_cut_model, (H, None, S), (H, H, I)),
 ]
 
 
 def test_exact_verdicts_agree_with_the_grid_path_where_it_decides():
-    import nlbranch.criteria as crit
-    cfg = CriteriaConfig()
-    grid = [dict(b0=gamma(alpha), r0=1.0, b2=1.0, r2=r2, alpha=alpha,
-                 u_max=u_max) for alpha, u_max, r2 in _cut_grid()]
-    for params in [*TEST_POWER_LAWS, *grid, *BEYOND_THE_GRID]:
-        model = make_model(**params)
-        exact, numeric = classify(model, cfg), crit._classify_numeric(model, cfg)
-        assert exact.method == "symbolic"
-        decided = [(e, n) for e, n in zip(verdicts(exact), verdicts(numeric))
-                   if n.value != "inconclusive"]
-        if params in BEYOND_THE_GRID:
-            assert exact.evidence["phi_sign_near_infinity"] == -1
-            assert numeric.evidence["phi_sign_near_infinity"] == 1
-        else:
-            assert all(e == n for e, n in decided), params
+    grid = [(dict(b0=gamma(alpha), r0=1.0, b2=1.0, r2=r2, alpha=alpha,
+                  u_max=u_max), verdict)
+            for (alpha, u_max, r2), verdict in zip(_cut_grid(),
+                                                   CUT_GRID_VERDICTS)]
+    for params, grid_verdicts in [*TEST_MODELS, *grid]:
+        rep = classify(_build(params))
+        assert rep.method == "symbolic"
+        assert all(g is None or e == g for e, g in
+                   zip(verdicts(rep), grid_verdicts)), params
+    for params, grid_verdicts, exact in BEYOND_THE_GRID:
+        rep = classify(_build(params))
+        # phi at the grid's last state has the sign the grid read
+        ev = rep.evidence
+        assert ev["phi_sign_near_infinity"] * ev["phi_large"][-1][1] < 0.0
+        assert verdicts(rep) == exact
+        assert any(g is not None and e != g
+                   for e, g in zip(exact, grid_verdicts))
 
 
 def test_classify_report_serializes():
@@ -611,46 +780,46 @@ def test_h_rho_scale_linearity():
 
 
 # ---------------------------------------------------------------------------
-# batched quadrature in the numeric classifier
+# batched quadrature in h_rho
+
+RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
 
-def _tabulated_jump_model(u_max=None):
-    # tabulated drift near u with a critical-order jump rate: the numeric
-    # path, with the k-integrals by quadrature
-    tab = Tabulated(tuple((u, u * (1.0 + 0.05 * math.sin(i)))
-                          for i, u in enumerate(np.logspace(-3, 8, 12))))
-    return validate(ModelSpec(
-        a0=tab, a1=PowerLaw(0.0, 0.0), a2=PowerLaw(1.0 / gamma(1.5), 1.5),
-        a3=PowerLaw(0.0, 0.0), mu=StableMeasure(1.5, u_max=u_max)))
+def _h_pairs(cfg):
+    """The 32 (u, rho) pairs of the large grid and RHO_SCAN."""
+    return (list(cfg.large_u_grid) * len(RHO_SCAN),
+            [rho for rho in RHO_SCAN for _ in cfg.large_u_grid])
 
 
 @pytest.mark.parametrize("u_max", [None, 5.0])
 def test_classify_batched_values_equal_one_point_calls(u_max):
-    # every grid value and the summed cost of classify's batched runs
-    # equal the one-point calls bit for bit
+    # every grid value of classify's evidence, and h_rho's values and cost
+    # on 32 pairs in one batched run, equal the one-point calls bit for bit
+    import nlbranch.criteria as crit
     model = _tabulated_jump_model(u_max)
     cfg = CriteriaConfig()
     ev = classify(model, cfg).evidence
-    tally = QuadTally()
     for key, grid in (("phi_small", cfg.small_u_grid),
                       ("phi_large", cfg.large_u_grid)):
         assert ev[key] == [[u, phi_with_scale(model, u)[0]] for u in grid]
-    k_tally = QuadTally()
-    for rho in RHO_SCAN:
-        assert ev["h_large"][str(rho)] == [
-            [u, h_rho(model, u, rho, cfg.quad_tol, tally)] for u in cfg.large_u_grid]
-        for u, h in ev["h_large"][str(rho)]:
-            k = stable_k_integral(model, u, rho, cfg.quad_tol, k_tally)
-            assert h == float(model.a2(u)) * k
-    assert ev["quad_evaluations"] == tally.evaluations
-    assert ev["quad_worst_rel_error"] == tally.worst_rel_error
+    us, rhos = _h_pairs(cfg)
+    tally, one_tally, k_tally = QuadTally(), QuadTally(), QuadTally()
+    batched = crit._h_values(model, us, rhos, 1e-10, tally)
+    assert batched == [h_rho(model, u, rho, 1e-10, one_tally)
+                       for u, rho in zip(us, rhos)]
+    for u, rho, h in zip(us, rhos, batched):
+        k = stable_k_integral(model, u, rho, 1e-10, k_tally)
+        assert h == float(model.a2(u)) * k
+    assert tally.evaluations == one_tally.evaluations
+    assert tally.worst_rel_error == one_tally.worst_rel_error
     if u_max is None:
         assert k_tally.evaluations == tally.evaluations
 
 
-def test_numeric_classify_shares_integrand_calls(monkeypatch):
+def test_h_values_share_integrand_calls(monkeypatch):
     # 32 k-integrals in shared rounds: one kernel call for the envelope
-    # stubs and one per round, against about 13 per integral run alone
+    # stubs and one per round, against about 13 per integral run alone;
+    # classify calls the kernel not at all
     import nlbranch.criteria as crit
     calls = []
     kernel = crit._k_kernel
@@ -660,9 +829,12 @@ def test_numeric_classify_shares_integrand_calls(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(crit, "_k_kernel", counted)
-    rep = classify(_tabulated_jump_model())
-    assert rep.method == "numeric"
-    assert sum(calls) == rep.evidence["quad_evaluations"] + 32
+    model = _tabulated_jump_model()
+    classify(model)
+    assert calls == []
+    tally = QuadTally()
+    crit._h_values(model, *_h_pairs(CriteriaConfig()), 1e-10, tally)
+    assert sum(calls) == tally.evaluations + 32
     assert len(calls) <= 40
 
 
@@ -704,28 +876,20 @@ def _h_values_per_point(model, us, rhos, tol):
 
 
 def _grid_models():
-    # a2 vanishes below u = 1 on the last one, so part of its grid has
-    # no jump term
-    tab_a2 = Tabulated(((1e-3, 0.0), (1.0, 0.0), (1e8, 3e11)))
     return [make_model(**JUMP_CRITICAL), make_model(**MIXED_CRITICAL),
-            _tabulated_jump_model(), _tabulated_jump_model(5.0),
-            make_model(**CUT_WITH_ATOMS),
-            validate(ModelSpec(a0=PowerLaw(1.0, 1.0), a1=PowerLaw(0.0, 0.0),
-                               a2=tab_a2, a3=PowerLaw(0.5, 0.0),
-                               mu=StableMeasure(1.5, u_max=5.0),
-                               nu=FiniteMeasure(((9.0, 0.4),))))]
+            _tabulated_jump_model(), _tabulated_jump_cut_model(),
+            make_model(**CUT_WITH_ATOMS), _tab_a2_model()]
 
 
 def test_grid_values_equal_per_point_loops():
     import nlbranch.criteria as crit
     cfg = CriteriaConfig()
     us = [*cfg.small_u_grid, *cfg.large_u_grid]
-    h_us = list(cfg.large_u_grid) * len(RHO_SCAN)
-    h_rhos = [rho for rho in RHO_SCAN for _ in cfg.large_u_grid]
+    h_us, h_rhos = _h_pairs(cfg)
     for model in _grid_models():
         assert crit._phi_values(model, us) == _phi_values_per_point(model, us)
-        assert crit._h_values(model, h_us, h_rhos, cfg.quad_tol, None) \
-            == _h_values_per_point(model, h_us, h_rhos, cfg.quad_tol)
+        assert crit._h_values(model, h_us, h_rhos, 1e-10, None) \
+            == _h_values_per_point(model, h_us, h_rhos, 1e-10)
 
 
 def test_symbolic_classify_calls_each_rate_once(monkeypatch):

@@ -148,3 +148,24 @@ def test_critical_deficit_requires_power_law_full_support():
     with pytest.raises(ValidationError) as exc:
         critical_deficit(m)
     assert exc.value.code == "unsupported_rate_form"
+
+
+def test_rate_end_terms():
+    # (coefficient, exponent) terms near 0 and near infinity, zero terms
+    # left out; a table is its first value below its first positive knot
+    # unless a knot sits at u <= 0, and its last value past its last knot
+    assert PowerLaw(2.0, 1.5).end_terms() == (((2.0, 1.5),), ((2.0, 1.5),))
+    assert PowerLaw(0.0, 1.5).end_terms() == ((), ())
+    assert Tabulated(((1.0, 2.0), (10.0, 4.0))).end_terms() \
+        == (((2.0, 0.0),), ((4.0, 0.0),))
+    assert Tabulated(((-2.0, 1.0), (2.0, 3.0), (5.0, 0.0))).end_terms() \
+        == (((2.0, 0.0), (0.5, 1.0)), ())
+    assert Tabulated(((0.0, 0.0), (4.0, 2.0))).end_terms() \
+        == (((0.5, 1.0),), ((2.0, 0.0),))
+    assert Tabulated(((-3.0, 1.0), (0.0, 7.0))).end_terms() \
+        == (((7.0, 0.0),), ((7.0, 0.0),))
+    tab = Tabulated(((-1.0, 3.0), (2.0, 0.0), (5.0, 4.0)))
+    (c0, _), (c1, _) = tab.end_terms()[0]
+    for u in (1e-6, 0.5, 1.9):
+        assert c0 + c1 * u == pytest.approx(float(tab(u)), rel=1e-14,
+                                            abs=1e-15)
