@@ -185,17 +185,23 @@ def cmd_sweep(args) -> int:
     rc = _load(args)
     threads = _resolve_threads(args, rc)
     grid = _read_grid(args.grid)
+    # a row is a full-support power-law model without atoms: a run file
+    # that says more would be swept as a different model
+    m = rc.model_params
+    if m["nu"]["atoms"]:
+        raise ConfigError("model.nu", "atoms", "sweep takes no atoms")
+    if m["u_max"] is not None:
+        raise ConfigError("model", "u_max",
+                          "sweep takes full-support models only")
+    for name in ("a0", "a1", "a2"):
+        if m[name]["type"] != "powerlaw":
+            raise ConfigError(f"model.{name}", "type",
+                              "sweep takes power-law rates only")
     template = {
-        "b0": 1.0, "r0": 1.0, "b1": 0.0, "r1": 0.0, "b2": 0.0, "r2": 0.0,
+        "b0": m["a0"]["b"], "r0": m["a0"]["r"], "b1": m["a1"]["b"],
+        "r1": m["a1"]["r"], "b2": m["a2"]["b"], "r2": m["a2"]["r"],
         "alpha": rc.model.alpha, "x0": 100.0, "a": 1.0, "t": 1.0,
     }
-    m = rc.model_params
-    if m["a0"]["type"] == "powerlaw":
-        template.update(b0=m["a0"]["b"], r0=m["a0"]["r"])
-    if m["a1"]["type"] == "powerlaw":
-        template.update(b1=m["a1"]["b"], r1=m["a1"]["r"])
-    if m["a2"]["type"] == "powerlaw":
-        template.update(b2=m["a2"]["b"], r2=m["a2"]["r"])
     rows = sweep(template, grid, rc.sim, n_paths=rc.n_paths, seed=rc.seed,
                  threads=threads, criteria_cfg=rc.criteria)
     if rc.output_format == "csv":

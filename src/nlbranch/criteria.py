@@ -35,7 +35,7 @@ from scipy.special import beta, betainc, betaincc
 
 from .model import StableMeasure, ValidatedModel, ValidationError
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
-from .numerics.quadrature import QuadTally, integrate_jobs, integrate_truncated
+from .numerics.quadrature import integrate_jobs, integrate_truncated
 
 __all__ = [
     "CriteriaConfig",
@@ -406,15 +406,13 @@ def _k_kernel(z, u, lnu, rho):
 
 
 def stable_k_integral(model: ValidatedModel, u: float, rho: float,
-                      quad_tol: float = 1e-10,
-                      tally: Optional[QuadTally] = None) -> float:
+                      quad_tol: float = 1e-10) -> float:
     """int over U of k_rho(u, z) mu(dz) by adaptive quadrature."""
-    return stable_k_integrals(model, [u], [rho], quad_tol, tally)[0]
+    return stable_k_integrals(model, [u], [rho], quad_tol)[0]
 
 
 def stable_k_integrals(model: ValidatedModel, us, rhos,
-                       quad_tol: float = 1e-10,
-                       tally: Optional[QuadTally] = None) -> List[float]:
+                       quad_tol: float = 1e-10) -> List[float]:
     """``stable_k_integral`` at each (u, rho) pair, in one batched run."""
     _check_k_points("stable_k_integral", us, rhos)
     a = model.alpha
@@ -430,7 +428,7 @@ def stable_k_integrals(model: ValidatedModel, us, rhos,
     # exponential tail map converges; no tail envelope is declared
     results = integrate_jobs(f, len(us), model.u_max, quad_tol,
                              head_power=1.0 - a)
-    return [r.value if tally is None else tally.add(r) for r in results]
+    return [r.value for r in results]
 
 
 def k_integral_bounds(u: float, rho: float, alpha: float,
@@ -454,29 +452,17 @@ def k_integral_bounds(u: float, rho: float, alpha: float,
 
 
 def h_rho(model: ValidatedModel, u: float, rho: float,
-          quad_tol: float = 1e-10, tally: Optional[QuadTally] = None) -> float:
+          quad_tol: float = 1e-10) -> float:
     """Fluctuation functional at u > 3 (see module docstring)."""
-    return _h_values(model, [u], [rho], quad_tol, tally)[0]
-
-
-def _h_values(model: ValidatedModel, us, rhos, tol: float,
-              tally: Optional[QuadTally]) -> List[float]:
-    """``h_rho`` at each (u, rho) pair: each rate is called once on the
-    pairs, and the k-integrals share one run."""
-    _check_k_points("h_rho", us, rhos)
-    u = np.array(us, dtype=float)
-    rho = np.array(rhos, dtype=float)
+    _check_k_points("h_rho", [u], [rho])
     total = 0.5 * model.a1(u) / (u * u)
     a2 = model.a2(u)
-    jumps = np.flatnonzero(a2 != 0.0)
-    if jumps.size:
-        total[jumps] += a2[jumps] * np.array(stable_k_integrals(
-            model, u[jumps].tolist(), rho[jumps].tolist(), tol, tally))
+    if a2 != 0.0:
+        total += a2 * stable_k_integral(model, u, rho, quad_tol)
     if not model.nu_empty:
-        k = _k_kernel(model.nu_z, u[:, None], _logs(u.tolist())[:, None],
-                      rho[:, None])
+        k = _k_kernel(model.nu_z, u, math.log(u), rho)
         total += model.a3(u) * _atom_sums(model, k)
-    return total.tolist()
+    return float(total)
 
 
 def apply_generator(model: ValidatedModel, g: TestFunction, u: float,

@@ -128,10 +128,6 @@ class FiniteMeasure:
     """Finitely many atoms (z_j, w_j) with z_j > 0, w_j > 0."""
     atoms: Tuple[Tuple[float, float], ...] = ()
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -157,7 +153,6 @@ class ValidatedModel:
     u_max: Optional[float]
     nu_z: np.ndarray = field(repr=False)
     nu_w: np.ndarray = field(repr=False)
-    is_power_law: bool = False
 
     def a0(self, u):
         return self.spec.a0(u)
@@ -182,15 +177,6 @@ class ValidatedModel:
     @property
     def nu_empty(self) -> bool:
         return self.nu_z.size == 0
-
-    def power_coefficients(self):
-        """(b, r) pairs of the four rates; requires a pure power-law model."""
-        if not self.is_power_law:
-            raise ValidationError(
-                "unsupported_rate_form",
-                "operation requires all rates in power-law form")
-        return tuple((f.b, f.r) for f in
-                     (self.spec.a0, self.spec.a1, self.spec.a2, self.spec.a3))
 
 
 def _check_rate(name: str, f: RateFunction) -> None:
@@ -251,8 +237,6 @@ def validate(spec: ModelSpec) -> ValidatedModel:
                 f"atom at z={z} lies inside the stable support U; atoms must "
                 f"live on the complement")
 
-    is_power = all(isinstance(f, PowerLaw)
-                   for f in (spec.a0, spec.a1, spec.a2, spec.a3))
     nu_z = np.array([z for z, _ in spec.nu.atoms], dtype=float)
     nu_w = np.array([w for _, w in spec.nu.atoms], dtype=float)
     return ValidatedModel(
@@ -263,7 +247,6 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         u_max=None if mu.u_max is None else float(mu.u_max),
         nu_z=nu_z,
         nu_w=nu_w,
-        is_power_law=is_power,
     )
 
 
@@ -292,12 +275,15 @@ def critical_deficit(model: ValidatedModel) -> CriticalityCheck:
     Requires pure power-law rates, full support U = (0, inf) and no atoms;
     anything else raises ValidationError("unsupported_rate_form").
     """
-    if not (model.is_power_law and model.full_support and model.nu_empty):
+    spec = model.spec
+    rates = (spec.a0, spec.a1, spec.a2, spec.a3)
+    if not (all(isinstance(f, PowerLaw) for f in rates)
+            and model.full_support and model.nu_empty):
         raise ValidationError(
             "unsupported_rate_form",
             "criticality check requires power-law rates, full stable support "
             "and an empty atomic measure")
-    (b0, r0), (b1, r1), (b2, r2), _ = model.power_coefficients()
+    (b0, r0), (b1, r1), (b2, r2) = ((f.b, f.r) for f in rates[:3])
     deficit = b0 - 0.5 * b1 - model.gamma_alpha * b2
     r1_res = (r1 - (r0 + 1.0)) if b1 > 0.0 else None
     r2_res = (r2 - (r0 + model.alpha - 1.0)) if b2 > 0.0 else None

@@ -31,12 +31,11 @@ exp(+-460) and the integrand must tolerate evaluation there.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadTally", "QuadratureError", "integrate_unit",
+__all__ = ["QuadResult", "QuadratureError", "integrate_unit",
            "integrate_semiinfinite", "integrate_truncated", "integrate_jobs"]
 
 # Kronrod-15 abscissae/weights and the embedded Gauss-7 weights.
@@ -89,21 +88,6 @@ class QuadResult:
     value: float
     abs_error_estimate: float
     evaluations: int
-
-
-@dataclass
-class QuadTally:
-    """Evaluations and worst relative error estimate over several calls."""
-    evaluations: int = 0
-    worst_rel_error: float = 0.0
-
-    def add(self, result: QuadResult) -> float:
-        """Count one call's cost and error; returns its value."""
-        self.evaluations += result.evaluations
-        err, value = float(result.abs_error_estimate), abs(float(result.value))
-        rel = err / value if value else (math.inf if err else 0.0)
-        self.worst_rel_error = max(self.worst_rel_error, rel)
-        return result.value
 
 
 class QuadratureError(RuntimeError):

@@ -24,11 +24,9 @@ _GOLD = _U64(0x9E3779B97F4A7C15)
 _SALT = _U64(0xD1B54A32D192ED03)
 
 # Poisson sampling: sequential-search inversion is exact but needs
-# exp(-lam) > 0, so lam is split into at most two halves up to this bound
-# and the count is the sum of the pieces.  Above _POISSON_EXACT_MAX a
-# moment-matched rounded normal is used instead.
-_POISSON_SPLIT = 500.0
-_POISSON_EXACT_MAX = 1000.0
+# exp(-lam) > 0, so a lane's rate is split into ceil(lam / _POISSON_PIECE)
+# equal pieces, each inverted on its own word, and the count is their sum.
+_POISSON_PIECE = 500.0
 # the inversion search is a guard: it raises past this many standard
 # deviations above the block's largest rate, where no sum still grows
 _POISSON_SEARCH_SD = 40.0
@@ -151,8 +149,9 @@ class StreamBundle:
     def poissons(self, lam, idx=None):
         """One Poisson count per lane with per-lane rates ``lam``.
 
-        Exact (inversion, split in halves) for lam <= 1000; above that a
-        rounded normal approximation with matched mean/variance is used.
+        Exact at every rate: a lane splits its rate into
+        max(ceil(lam / 500), 1) equal pieces, each inverted on the lane's
+        next word, and consumes one word per piece.
         """
         shape = (self.size,) if idx is None else np.shape(idx)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), shape)
@@ -160,29 +159,25 @@ class StreamBundle:
         # a nan fails the min, an infinite rate the max
         if not (lam.min(initial=0.0) >= 0.0 and top < np.inf):
             raise ValueError("poisson rate must be finite and >= 0")
-        if top <= _POISSON_SPLIT:
-            # one piece per lane: every selected lane draws, none gathered
-            return _poisson_inversion(lam, self.uniforms(idx))
-
-        idx_arr = np.arange(self.size) if idx is None else np.asarray(idx)
-        out = np.zeros(shape, dtype=np.int64)
-
-        exact = lam <= _POISSON_EXACT_MAX
-        two_piece = exact & (lam > _POISSON_SPLIT)
-        pieces = np.where(two_piece, 2, 1)
-        lam_piece = np.where(exact, lam / pieces, 0.0)
-        for j in (0, 1):
-            sel = exact & (pieces > j)
-            if np.any(sel):
-                u = self.uniforms(idx_arr[sel])
-                out[sel] += _poisson_inversion(lam_piece[sel], u)
-
-        approx = ~exact
-        if np.any(approx):
-            u = self.uniforms(idx_arr[approx])
-            la = lam[approx]
-            draw = np.rint(la + np.sqrt(la) * ndtri(u))
-            out[approx] = np.maximum(draw, 0.0).astype(np.int64)
+        # x / 500 rounds above k for every float x > 500 k: a lane above
+        # one piece's rate has two pieces or more
+        (many,) = np.nonzero(lam > _POISSON_PIECE)
+        pieces = np.ceil(lam[many] / _POISSON_PIECE)
+        lam_piece = lam.copy()
+        lam_piece[many] /= pieces
+        out = _poisson_inversion(lam_piece, self.uniforms(idx))
+        if many.size:
+            # every further piece of every such lane in one inversion, on
+            # the lane's words at offsets 0, 1, ... past piece 0
+            extra = pieces.astype(np.int64) - 1
+            lanes = many if idx is None else np.asarray(idx)[many]
+            starts = np.cumsum(extra) - extra
+            offsets = np.arange(extra.sum()) - np.repeat(starts, extra)
+            counts = _poisson_inversion(
+                np.repeat(lam_piece[many], extra),
+                self.uniforms_at(offsets, np.repeat(lanes, extra)))
+            out[many] += np.add.reduceat(counts, starts)
+            self.advance(extra, lanes)
         return out
 
 
@@ -212,8 +207,13 @@ def _poisson_inversion(lam, u):
         p *= lam / n
         total = cdf + p
         grew = total > cdf
-        k[idx] = n - 1 + grew
         more = grew & (u > total)
+        if n < top and more.all():
+            # no lane ended, as in the first 300 terms at rate 500: the
+            # arrays stay as they are
+            cdf = total
+            continue
+        k[idx] = n - 1 + grew
         idx, lam, u, p, cdf = (idx[more], lam[more], u[more], p[more],
                                total[more])
     return k

@@ -315,6 +315,40 @@ def test_cli_sweep_env_threads(tmp_path, monkeypatch):
     assert open(ref).read() == open(env).read()
 
 
+SWEEP_REJECTS = [
+    # a support cut with atoms names the atoms, a cut alone names u_max
+    ("alpha = 1.5\n", "alpha = 1.5\nu_max = 5\n\n[model.nu]\natoms = 8:0.5\n",
+     "model.nu", "atoms"),
+    ("alpha = 1.5\n", "alpha = 1.5\nu_max = 5\n", "model", "u_max"),
+    ("[model.a0]\ntype = powerlaw\nb = 1.0\nr = 1.0\n",
+     "[model.a0]\ntype = tabulated\nknots = 0.1:0.1 10:10\n",
+     "model.a0", "type"),
+    ("[model.a1]\ntype = powerlaw\nb = 2.0\nr = 2.0\n",
+     "[model.a1]\ntype = tabulated\nknots = 0.1:0.02 10:200\n",
+     "model.a1", "type"),
+    ("[model.a1]", "[model.a2]\ntype = tabulated\nknots = 0.1:0.1 10:1\n\n"
+     "[model.a1]", "model.a2", "type"),
+]
+
+
+@pytest.mark.parametrize("old, new, section, key", SWEEP_REJECTS,
+                         ids=["atoms", "u_max", "a0", "a1", "a2"])
+def test_cli_sweep_rejects_what_a_row_cannot_carry(tmp_path, capsys, old, new,
+                                                    section, key):
+    # a sweep row is a full-support power-law model: a run file with a
+    # support cut, atoms or a tabulated rate exits 1 naming the key, and
+    # writes no rows
+    assert old in GBM_CONFIG
+    cfg = write(tmp_path, "run.ini", GBM_CONFIG.replace(old, new, 1))
+    assert main(["classify", "--config", cfg]) == 0
+    grid = write(tmp_path, "grid.csv", "r0,r1\n1.0,2.0\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--grid", grid, "--format", "csv",
+                 "--out", str(out)]) == 1
+    assert f"[{section}] {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_selftest_passes(tmp_path):
     out = str(tmp_path / "selftest.json")
     assert main(["selftest", "--out", out]) == 0

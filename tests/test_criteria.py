@@ -23,10 +23,10 @@ from nlbranch.criteria import (
     phi_by_quadrature,
     phi_with_scale,
     stable_k_integral,
+    stable_k_integrals,
 )
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, Tabulated, validate
 from nlbranch.numerics import gamma
-from nlbranch.numerics.quadrature import QuadTally
 
 
 def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
@@ -780,7 +780,7 @@ def test_h_rho_scale_linearity():
 
 
 # ---------------------------------------------------------------------------
-# batched quadrature in h_rho
+# batched quadrature in the k-integrals
 
 RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
@@ -793,9 +793,8 @@ def _h_pairs(cfg):
 
 @pytest.mark.parametrize("u_max", [None, 5.0])
 def test_classify_batched_values_equal_one_point_calls(u_max):
-    # every grid value of classify's evidence, and h_rho's values and cost
-    # on 32 pairs in one batched run, equal the one-point calls bit for bit
-    import nlbranch.criteria as crit
+    # every grid value of classify's evidence, and the k-integrals of 32
+    # pairs in one batched run, equal the one-point calls bit for bit
     model = _tabulated_jump_model(u_max)
     cfg = CriteriaConfig()
     ev = classify(model, cfg).evidence
@@ -803,23 +802,17 @@ def test_classify_batched_values_equal_one_point_calls(u_max):
                       ("phi_large", cfg.large_u_grid)):
         assert ev[key] == [[u, phi_with_scale(model, u)[0]] for u in grid]
     us, rhos = _h_pairs(cfg)
-    tally, one_tally, k_tally = QuadTally(), QuadTally(), QuadTally()
-    batched = crit._h_values(model, us, rhos, 1e-10, tally)
-    assert batched == [h_rho(model, u, rho, 1e-10, one_tally)
-                       for u, rho in zip(us, rhos)]
-    for u, rho, h in zip(us, rhos, batched):
-        k = stable_k_integral(model, u, rho, 1e-10, k_tally)
-        assert h == float(model.a2(u)) * k
-    assert tally.evaluations == one_tally.evaluations
-    assert tally.worst_rel_error == one_tally.worst_rel_error
-    if u_max is None:
-        assert k_tally.evaluations == tally.evaluations
+    batched = stable_k_integrals(model, us, rhos, 1e-10)
+    for u, rho, k in zip(us, rhos, batched):
+        assert k == stable_k_integral(model, u, rho, 1e-10)
+        assert h_rho(model, u, rho, 1e-10) == float(model.a2(u)) * k
 
 
-def test_h_values_share_integrand_calls(monkeypatch):
+def test_k_integrals_share_integrand_calls(monkeypatch):
     # 32 k-integrals in shared rounds: one kernel call for the envelope
-    # stubs and one per round, against about 13 per integral run alone;
-    # classify calls the kernel not at all
+    # stubs and one per round, against about 13 per integral run alone,
+    # and together they evaluate the points they evaluate alone; classify
+    # calls the kernel not at all
     import nlbranch.criteria as crit
     calls = []
     kernel = crit._k_kernel
@@ -832,10 +825,14 @@ def test_h_values_share_integrand_calls(monkeypatch):
     model = _tabulated_jump_model()
     classify(model)
     assert calls == []
-    tally = QuadTally()
-    crit._h_values(model, *_h_pairs(CriteriaConfig()), 1e-10, tally)
-    assert sum(calls) == tally.evaluations + 32
-    assert len(calls) <= 40
+    us, rhos = _h_pairs(CriteriaConfig())
+    stable_k_integrals(model, us, rhos, 1e-10)
+    batched = list(calls)
+    calls.clear()
+    for u, rho in zip(us, rhos):
+        stable_k_integral(model, u, rho, 1e-10)
+    assert sum(batched) == sum(calls)
+    assert len(batched) <= 40 < len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +885,7 @@ def test_grid_values_equal_per_point_loops():
     h_us, h_rhos = _h_pairs(cfg)
     for model in _grid_models():
         assert crit._phi_values(model, us) == _phi_values_per_point(model, us)
-        assert crit._h_values(model, h_us, h_rhos, 1e-10, None) \
+        assert [h_rho(model, u, rho, 1e-10) for u, rho in zip(h_us, h_rhos)] \
             == _h_values_per_point(model, h_us, h_rhos, 1e-10)
 
 

@@ -26,7 +26,7 @@ def make_spec(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
 
 def test_validate_minimal_spec():
     m = validate(make_spec())
-    assert m.is_power_law and m.full_support and m.nu_empty
+    assert m.full_support and m.nu_empty
     assert m.gamma_alpha == pytest.approx(gamma(1.5), rel=1e-14)
     assert m.c_alpha == pytest.approx(0.4231421876608172, rel=1e-12)
 

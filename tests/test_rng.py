@@ -92,9 +92,9 @@ def test_poisson_mean_lambda_4():
     assert abs(draws.mean() - 4.0) <= 0.05
 
 
-def test_poisson_split_and_normal_branches_moments():
+def test_poisson_moments_of_split_rates():
     b = StreamBundle(55, np.arange(200))
-    for lam in (700.0, 5000.0):  # split-exact branch, normal branch
+    for lam in (700.0, 5000.0):  # two pieces, ten pieces
         draws = np.concatenate([b.poissons(np.full(200, lam))
                                 for _ in range(50)])
         n = draws.shape[0]
@@ -152,8 +152,7 @@ def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
 
 def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
     # idx=None and the same lanes by index give the same counts and
-    # counters, with rates on the one-piece, the split and the normal
-    # branch
+    # counters, with rates of one, two and up to a hundred pieces
     small = np.concatenate([np.linspace(0.0, 3.0, 40), np.full(8, 0.02)])
     rates = np.concatenate([small, np.linspace(501.0, 999.0, 8),
                             np.linspace(1001.0, 5e4, 8)])
@@ -164,8 +163,10 @@ def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
             assert np.array_equal(whole.poissons(lam),
                                   indexed.poissons(lam, np.arange(n)))
         assert np.array_equal(whole.counters(), indexed.counters())
-    # one word per lane below the split, two on it, one above 1000
-    assert np.array_equal(whole.counters(), [5] * 48 + [10] * 8 + [5] * 8)
+    # one word per piece: one below 500, two up to 1000, ceil(lam / 500)
+    pieces = np.maximum(np.ceil(rates / 500.0), 1.0)
+    assert pieces[-1] == 100
+    assert np.array_equal(whole.counters(), 5 * pieces)
     # a lane draws the same count whether or not larger rates share the call
     alone = StreamBundle(19, np.arange(small.size))
     mixed = StreamBundle(19, np.arange(rates.size))
@@ -187,6 +188,32 @@ def _poisson_search(lam, u, p0):
             cdf += p
         out.append(n)
     return out
+
+
+def test_poisson_count_is_its_pieces_inverted_by_the_textbook_search():
+    # a lane splits its rate into ceil(lam / 500) equal pieces (one at most
+    # 500) and inverts each on its next word; lanes of 1 to 100 pieces
+    # share the call, selected in any order, and the counters carry into
+    # the high word
+    lam = np.array([1001.0, 5000.0, 5e4, 0.5, 700.0, 5e4, 1001.0, 0.0,
+                    500.0, 5000.0])
+    pieces = np.maximum(np.ceil(lam / 500.0), 1.0).astype(int)
+    ids = np.arange(3, 31, 2, dtype=np.uint64)
+    start = 2 ** 64 - 30
+    for idx in (None, np.array([13, 2, 7, 0, 11, 5, 9, 3, 12, 6])):
+        lanes = np.arange(lam.size) if idx is None else idx
+        bundle = StreamBundle(808, ids if idx is not None else ids[:lam.size])
+        bundle.set_counter(start)
+        counts = bundle.poissons(lam, idx)
+        counters = [start] * bundle.size
+        for count, rate, m, i in zip(counts, lam, pieces, lanes):
+            lane = StreamBundle(808, ids[i:i + 1])
+            lane.set_counter(start)
+            u = lane.uniforms_at(np.arange(m, dtype=np.uint64))
+            piece = np.full(m, rate / m)
+            assert count == sum(_poisson_search(piece, u, np.exp(-piece)))
+            counters[i] += int(m)
+        assert bundle.counters().tolist() == counters
 
 
 def test_poisson_inversion_equals_the_textbook_search():
