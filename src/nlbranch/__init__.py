@@ -27,7 +27,7 @@ from .model import (
     critical_deficit,
     validate,
 )
-from .criteria import BoundaryReport, CriteriaConfig, InfinityBehavior, Verdict, classify
+from .criteria import BoundaryReport, InfinityBehavior, Verdict, classify
 
 __all__ = [
     "__version__",
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationError",
     "validate",
     "critical_deficit",
-    "CriteriaConfig",
     "BoundaryReport",
     "Verdict",
     "InfinityBehavior",

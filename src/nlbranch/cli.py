@@ -34,7 +34,7 @@ from .montecarlo import (
     estimate_passage_prob,
     sweep,
 )
-from .numerics import RngStream, StreamBundle, gamma
+from .numerics import StreamBundle, gamma
 from .numerics.quadrature import QuadratureError
 from .simulator import trace_path
 
@@ -100,7 +100,7 @@ def _load(args) -> RunConfig:
 def cmd_classify(args) -> int:
     started = time.monotonic()
     rc = _load(args)
-    report = classify(rc.model, rc.criteria)
+    report = classify(rc.model)
     _emit(_report("classify", config_echo(rc), report.to_dict(), started),
           rc.output_path)
     return EXIT_OK
@@ -134,8 +134,7 @@ def cmd_passage(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     rc = _load(args)
-    rng = RngStream(rc.seed, stream_id=0)
-    ts, xs = trace_path(rc.model, rc.sim, args.x0, rng)
+    ts, xs = trace_path(rc.model, rc.sim, args.x0, rc.seed)
     if rc.output_format == "csv":
         target = rc.output_path
         rows = [f"{float(t)!r},{float(x)!r}" for t, x in zip(ts, xs)]
@@ -203,7 +202,7 @@ def cmd_sweep(args) -> int:
         "alpha": rc.model.alpha, "x0": 100.0, "a": 1.0, "t": 1.0,
     }
     rows = sweep(template, grid, rc.sim, n_paths=rc.n_paths, seed=rc.seed,
-                 threads=threads, criteria_cfg=rc.criteria)
+                 threads=threads)
     if rc.output_format == "csv":
         text = _sweep_csv(rows, rc.n_paths, rc.seed)
         if rc.output_path:
@@ -287,31 +286,31 @@ def check_generator_consistency() -> Dict:
 
 
 def check_rng_determinism() -> Dict:
-    """Scalar and vector streams agree bitwise; repeat runs are identical."""
+    """One-lane bundles equal the lanes of a four-lane bundle bitwise;
+    repeat runs are identical."""
     ok = True
     detail = []
-    s1 = RngStream(99, stream_id=3)
-    s2 = RngStream(99, stream_id=3)
-    seq1 = [s1.next_uniform() for _ in range(128)]
-    seq2 = [s2.next_uniform() for _ in range(128)]
-    if seq1 != seq2:
+
+    def lane(sid, n):
+        one = StreamBundle(99, np.array([sid], dtype=np.uint64))
+        return np.array([one.uniforms()[0] for _ in range(n)])
+
+    if not np.array_equal(lane(3, 128), lane(3, 128)):
         ok = False
         detail.append("repeat run differs")
     bundle = StreamBundle(99, np.arange(4, dtype=np.uint64))
     block = np.array([bundle.uniforms() for _ in range(16)])
-    for col, sid in enumerate(range(4)):
-        ref = RngStream(99, stream_id=sid)
-        vals = np.array([ref.next_uniform() for _ in range(16)])
-        if not np.array_equal(block[:, col], vals):
+    for sid in range(4):
+        if not np.array_equal(block[:, sid], lane(sid, 16)):
             ok = False
-            detail.append(f"bundle lane {sid} differs from scalar stream")
+            detail.append(f"bundle lane {sid} differs from its one-lane bundle")
     means = block.mean(axis=0)
     if np.any(means < 0.15) or np.any(means > 0.85):
         ok = False
         detail.append("lane means far from 1/2")
     return {"name": "rng_determinism", "passed": bool(ok),
             "detail": "; ".join(detail) or
-            "scalar/vector agree bitwise; repeat runs identical"}
+            "one-lane and four-lane bundles agree bitwise; repeat runs identical"}
 
 
 def run_selftest() -> List[Dict]:

@@ -1,16 +1,15 @@
 """Run configuration: INI-style files with nested sections.
 
 A run file holds the model ([model], [model.a0] .. [model.a3], [model.nu]),
-discretization ([sim]), Monte Carlo ([mc]), classifier grids ([criteria])
-and output ([output]) settings.  Rate coefficients may be given as
-literals or as one of the two expressions "gamma(alpha)" and
-"b0/gamma(alpha)", which make the critical coefficient relation exactly
-representable without decimal truncation.  No other expressions are
-accepted.
+discretization ([sim]), Monte Carlo ([mc]) and output ([output])
+settings.  Rate coefficients may be given as literals or as one of the
+two expressions "gamma(alpha)" and "b0/gamma(alpha)", which make the
+critical coefficient relation exactly representable without decimal
+truncation.  No other expressions are accepted.
 
-The keys of [sim] and [criteria] are the fields of ``SimConfig`` and
-``CriteriaConfig``, with their defaults; [mc] and [output] set
-``RunConfig`` fields.  A section or key that nothing reads is an error.
+The keys of [sim] are the fields of ``SimConfig``, with their defaults;
+[mc] and [output] set ``RunConfig`` fields.  A section or key that
+nothing reads is an error.
 """
 
 import configparser
@@ -19,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from .criteria import CriteriaConfig
 from .model import (
     FiniteMeasure,
     ModelSpec,
@@ -50,7 +48,6 @@ class ConfigError(ValueError):
 class RunConfig:
     model: ValidatedModel
     sim: SimConfig
-    criteria: CriteriaConfig
     n_paths: int = 10000
     seed: int = 1
     threads: int = 1
@@ -65,8 +62,6 @@ _SECTIONS = {
     "sim": (SimConfig, {f.name: f.name for f in fields(SimConfig)}),
     "mc": (RunConfig, {"n_paths": "n_paths", "seed": "seed",
                        "threads": "threads"}),
-    "criteria": (CriteriaConfig,
-                 {f.name: f.name for f in fields(CriteriaConfig)}),
     "output": (RunConfig, {"path": "output_path", "format": "output_format"}),
 }
 _MODEL_SECTIONS = ("model", "model.a0", "model.a1", "model.a2", "model.a3",
@@ -111,13 +106,6 @@ def _as_bool(section, key, raw):
     raise ConfigError(section, key, f"not a boolean: {raw!r}")
 
 
-def _as_float_tuple(section, key, raw):
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(section, key, f"not a list of numbers: {raw!r}")
-
-
 # the value of a settings key, converted by the type of its field
 _CONVERTERS = {
     float: _as_float,
@@ -125,7 +113,6 @@ _CONVERTERS = {
     bool: _as_bool,
     str: lambda section, key, raw: raw,
     Optional[str]: lambda section, key, raw: raw or None,
-    Tuple[float, ...]: _as_float_tuple,
 }
 
 
@@ -250,7 +237,6 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(section, key, str(exc)) from exc
 
     rc = RunConfig(model=model, sim=_build(cp, "sim"),
-                   criteria=_build(cp, "criteria"),
                    **_read_section(cp, "mc"), **_read_section(cp, "output"))
     rc.output_format = rc.output_format.lower()
     if rc.output_format not in ("json", "csv"):
@@ -299,7 +285,7 @@ def config_echo(rc: RunConfig) -> Dict:
                 for key, name in _SECTIONS[section][1].items()}
 
     return {"model": rc.model_params, "sim": asdict(rc.sim), "mc": table("mc"),
-            "criteria": asdict(rc.criteria), "output": table("output")}
+            "output": table("output")}
 
 
 def _rate_to_ini(name: str, desc: Dict, out: io.StringIO) -> None:
@@ -319,8 +305,6 @@ def _ini_value(val) -> str:
         return ""
     if isinstance(val, str):
         return val
-    if isinstance(val, (list, tuple)):
-        return " ".join(repr(v) for v in val)
     return repr(val)
 
 

@@ -33,12 +33,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.special import beta, betainc, betaincc
 
-from .model import StableMeasure, ValidatedModel, ValidationError
+from .model import StableMeasure, ValidatedModel
 from .numerics import integrate_semiinfinite, integrate_unit, x_minus_log1p
 from .numerics.quadrature import integrate_jobs, integrate_truncated
 
 __all__ = [
-    "CriteriaConfig",
     "TestFunction",
     "Verdict",
     "InfinityBehavior",
@@ -64,6 +63,9 @@ _EXPONENT_TOL = 1e-12
 _COEF_REL_TOL = 1e-12
 # orders carried of each convergent series in phi's expansions
 _SERIES_TERMS = 6
+# the states at which the classifier's evidence prints phi
+_SMALL_U_GRID = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_LARGE_U_GRID = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 
 
 class Verdict(str, Enum):
@@ -75,29 +77,6 @@ class InfinityBehavior(str, Enum):
     STAYS_INFINITE = "stays_infinite"
     COMES_DOWN_FROM_INFINITY = "comes_down_from_infinity"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class CriteriaConfig:
-    """The states at which the classifier's evidence prints phi."""
-    small_u_grid: Tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    large_u_grid: Tuple[float, ...] = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
-
-    def __post_init__(self):
-        small, large = self.small_u_grid, self.large_u_grid
-        for name, failed, rule in (
-                ("small_u_grid", len(small) == 0, "must be nonempty"),
-                ("large_u_grid", len(large) == 0, "must be nonempty"),
-                ("small_u_grid", any(b >= a for a, b in zip(small, small[1:])),
-                 "must be strictly decreasing"),
-                ("small_u_grid", any(u <= 0.0 for u in small),
-                 "entries must be positive"),
-                ("large_u_grid", any(b <= a for a, b in zip(large, large[1:])),
-                 "must be strictly increasing"),
-                ("large_u_grid", any(u <= 3.0 for u in large),
-                 "entries must exceed 3")):
-            if failed:
-                raise ValidationError(name, f"{name} {rule}")
 
 
 @dataclass
@@ -678,17 +657,15 @@ def _h_growth(model: ValidatedModel, inf_rates):
     return max(orders, default=None)
 
 
-def classify(model: ValidatedModel,
-             cfg: Optional[CriteriaConfig] = None) -> BoundaryReport:
+def classify(model: ValidatedModel) -> BoundaryReport:
     """Classify the four boundary behaviors of a validated model.
 
     Every model is decided exactly, with no quadrature: each rate is a
     short sum of powers near zero and near infinity, so the verdicts are
     read from the leading terms of phi's expansions at each end and from
-    the growth order of h_rho.  The configured grids only say where the
-    evidence prints phi.
+    the growth order of h_rho.  The evidence prints phi on two fixed
+    grids of small and large states.
     """
-    cfg = cfg or CriteriaConfig()
     zero_rates, inf_rates = _rate_ends(model)
     (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, zero_rates,
                                                        inf_rates)
@@ -717,7 +694,7 @@ def classify(model: ValidatedModel,
         side, h = (">", "bounded") if sign_inf > 0 else ("<", "superlogarithmic")
         gap = f"the rules leave a gap: phi {side} 0 near infinity with h_rho {h}"
 
-    phi_small, phi_large = _phi_grids(model, cfg)
+    phi_small, phi_large = _phi_grids(model)
     evidence = {
         "phi_terms": {"near_zero": [list(t) for t in terms_zero],
                       "near_infinity": [list(t) for t in terms_inf]},
@@ -728,15 +705,14 @@ def classify(model: ValidatedModel,
         "h_superlogarithmic": h_superlog,
         "infinity_gap": gap,
         "rho": None,
-        "phi_small": [[u, v] for u, (v, _) in zip(cfg.small_u_grid, phi_small)],
-        "phi_large": [[u, v] for u, (v, _) in zip(cfg.large_u_grid, phi_large)],
+        "phi_small": [[u, v] for u, (v, _) in zip(_SMALL_U_GRID, phi_small)],
+        "phi_large": [[u, v] for u, (v, _) in zip(_LARGE_U_GRID, phi_large)],
     }
     return BoundaryReport(no_extinction, no_explosion, infinity,
                           "symbolic", evidence)
 
 
-def _phi_grids(model, cfg):
+def _phi_grids(model):
     """``phi_with_scale`` on the small and the large grid, in one call."""
-    small, large = cfg.small_u_grid, cfg.large_u_grid
-    phis = _phi_values(model, [*small, *large])
-    return phis[:len(small)], phis[len(small):]
+    phis = _phi_values(model, [*_SMALL_U_GRID, *_LARGE_U_GRID])
+    return phis[:len(_SMALL_U_GRID)], phis[len(_SMALL_U_GRID):]

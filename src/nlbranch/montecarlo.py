@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .criteria import BoundaryReport, CriteriaConfig, classify
+from .criteria import BoundaryReport, classify
 from .model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
 from .numerics.rng import StreamBundle
-from .simulator import SimConfig, _run_block
+from .simulator import SimConfig, _check_start, _run_block
 
 __all__ = [
     "PassageEstimate",
@@ -143,10 +143,9 @@ def estimate_passage_prob(model, cfg: SimConfig, x0: float, a: float,
     Paths absorbed at zero count as crossings (zero is below any a > 0);
     paths that reach the cap first count as non-crossings.
     """
+    _check_start(cfg, x0, t)
     if not 0.0 < a < x0:
         raise ValueError("need 0 < a < x0")
-    if t > cfg.horizon_t:
-        raise ValueError("t must not exceed the configured horizon")
     if n_paths < 100:
         raise ValueError("need at least 100 paths for a meaningful interval")
     out = _run_replicates(model, cfg, x0, a, np.inf, t, n_paths, seed,
@@ -172,8 +171,7 @@ def extinction_explosion_rates(model, cfg: SimConfig, x0: float, horizon: float,
                                threads: int = 1) -> AbsorptionRates:
     """Fractions of paths absorbed at zero / frozen at the cap within the
     horizon."""
-    if not x0 > 0.0:
-        raise ValueError("x0 must be positive")
+    _check_start(cfg, x0, horizon, "horizon")
     out = _run_replicates(model, cfg, x0, a=-1.0, b=np.inf, horizon=horizon,
                           n_paths=n_paths, seed=seed, threads=threads)
     n_zero = int(np.count_nonzero(out["absorbed"]))
@@ -230,7 +228,6 @@ def _model_from_params(params: Dict[str, float]):
 
 def sweep(template: Dict[str, float], grid: List[Dict[str, float]],
           cfg: SimConfig, n_paths: int, seed: int, threads: int = 1,
-          criteria_cfg: Optional[CriteriaConfig] = None,
           skip_simulation: bool = False) -> List[SweepRow]:
     """Classify and estimate every grid point of a power-law family.
 
@@ -245,7 +242,7 @@ def sweep(template: Dict[str, float], grid: List[Dict[str, float]],
         params = {**template, **point}
         try:
             model = _model_from_params(params)
-            report: BoundaryReport = classify(model, criteria_cfg)
+            report: BoundaryReport = classify(model)
             predicted = report.infinity_behavior.value
         except Exception as exc:  # invalid grid point: flag, keep sweeping
             rows.append(SweepRow(index=i, params=params, predicted="invalid",

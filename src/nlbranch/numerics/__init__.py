@@ -1,6 +1,6 @@
 from .special import gamma, x_minus_log1p
 from .quadrature import QuadResult, QuadratureError, integrate_semiinfinite, integrate_unit
-from .rng import RngStream, StreamBundle
+from .rng import StreamBundle
 
 __all__ = [
     "gamma",
@@ -9,6 +9,5 @@ __all__ = [
     "QuadratureError",
     "integrate_semiinfinite",
     "integrate_unit",
-    "RngStream",
     "StreamBundle",
 ]

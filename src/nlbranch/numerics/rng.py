@@ -7,15 +7,14 @@ stream i no matter how work is scheduled, allows random access by
 counter offset (needed for the ragged jump draws in the path engine),
 and guarantees bit-identical results for any thread count or block size.
 
-``StreamBundle`` holds one stream per lane as parallel numpy arrays and
-is what the vectorized simulation consumes.  ``RngStream`` is the scalar
-view of a single lane.
+``StreamBundle`` holds one stream per lane as parallel numpy arrays, one
+64-bit counter per lane; a single stream is a one-lane bundle.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["RngStream", "StreamBundle"]
+__all__ = ["StreamBundle"]
 
 _U64 = np.uint64
 _M1 = _U64(0xBF58476D1CE4E5B9)
@@ -49,8 +48,8 @@ def _derive_keys(seed, stream_ids):
     return k1, k2
 
 
-def _raw(k1, k2, hi, lo):
-    return _mix((k1 ^ _mix(lo * _GOLD + k2)) + hi * _SALT)
+def _raw(k1, k2, ctr):
+    return _mix(k1 ^ _mix(ctr * _GOLD + k2))
 
 
 def _to_unit(word):
@@ -71,21 +70,23 @@ class StreamBundle:
         self.seed = int(seed)
         self.stream_ids = np.asarray(stream_ids, dtype=np.uint64)
         self._k1, self._k2 = _derive_keys(self.seed, self.stream_ids)
-        n = self.stream_ids.shape[0]
-        self._lo = np.zeros(n, dtype=np.uint64)
-        self._hi = np.zeros(n, dtype=np.uint64)
+        self._ctr = np.zeros(self.stream_ids.shape[0], dtype=np.uint64)
 
     @property
     def size(self) -> int:
         return self.stream_ids.shape[0]
 
     def counters(self):
-        return (self._hi.astype(object) << 64) + self._lo.astype(object)
+        return self._ctr.copy()
 
     def set_counter(self, value: int, idx=None):
-        idx = slice(None) if idx is None else idx
-        self._lo[idx] = _U64(value & 0xFFFFFFFFFFFFFFFF)
-        self._hi[idx] = _U64((value >> 64) & 0xFFFFFFFFFFFFFFFF)
+        """Set the selected lanes' counters to ``value`` in [0, 2^63).
+
+        No run draws 2^63 words from one stream, so a counter that starts
+        below 2^63 never wraps its 64-bit word."""
+        if not 0 <= value < 2 ** 63:
+            raise ValueError(f"counter {value} is outside [0, 2^63)")
+        self._ctr[slice(None) if idx is None else idx] = value
 
     def take(self, idx) -> "StreamBundle":
         """A new bundle of the selected lanes (an index array or a mask),
@@ -95,7 +96,7 @@ class StreamBundle:
         sub.seed = self.seed
         sub.stream_ids = self.stream_ids[idx]
         sub._k1, sub._k2 = self._k1[idx], self._k2[idx]
-        sub._lo, sub._hi = self._lo[idx], self._hi[idx]
+        sub._ctr = self._ctr[idx]
         return sub
 
     def put(self, idx, source: "StreamBundle"):
@@ -103,43 +104,24 @@ class StreamBundle:
         of the same streams in the same order (a ``take`` of these lanes)."""
         if not np.array_equal(self.stream_ids[idx], source.stream_ids):
             raise ValueError("put needs a bundle of the selected streams")
-        self._lo[idx] = source._lo
-        self._hi[idx] = source._hi
-
-    def _advance(self, idx, amount):
-        lo = self._lo[idx]
-        new_lo = lo + np.asarray(amount, dtype=np.uint64)
-        self._hi[idx] += new_lo < lo  # carry
-        self._lo[idx] = new_lo
+        self._ctr[idx] = source._ctr
 
     def advance(self, amounts, idx=None):
         """Consume ``amounts`` words per selected lane without generating."""
         idx = slice(None) if idx is None else idx
-        self._advance(idx, np.asarray(amounts))
-
-    def words_at(self, offsets, idx=None):
-        """Raw words at counter+offset for the selected lanes; no advance."""
-        idx = slice(None) if idx is None else idx
-        off = np.asarray(offsets, dtype=np.uint64)
-        lo = self._lo[idx] + off
-        hi = self._hi[idx] + (lo < self._lo[idx]).astype(np.uint64)
-        return _raw(self._k1[idx], self._k2[idx], hi, lo)
+        self._ctr[idx] += np.asarray(amounts, dtype=np.uint64)
 
     def uniforms_at(self, offsets, idx=None):
-        return _to_unit(self.words_at(offsets, idx))
+        """Uniforms at counter + offset for the selected lanes; no advance."""
+        idx = slice(None) if idx is None else idx
+        ctr = self._ctr[idx] + np.asarray(offsets, dtype=np.uint64)
+        return _to_unit(_raw(self._k1[idx], self._k2[idx], ctr))
 
     def uniforms(self, idx=None):
         """One uniform in (0,1) per selected lane; advances counters."""
-        if idx is None:
-            u = _to_unit(_raw(self._k1, self._k2, self._hi, self._lo))
-            # in place, carrying only where a low word wrapped to 0
-            self._lo += _U64(1)
-            if not self._lo.all():
-                self._hi += self._lo == 0
-            return u
-        u = _to_unit(_raw(self._k1[idx], self._k2[idx], self._hi[idx],
-                          self._lo[idx]))
-        self._advance(idx, 1)
+        idx = slice(None) if idx is None else idx
+        u = _to_unit(_raw(self._k1[idx], self._k2[idx], self._ctr[idx]))
+        self._ctr[idx] += _U64(1)
         return u
 
     def normals(self, idx=None):
@@ -218,34 +200,3 @@ def _poisson_inversion(lam, u):
                                total[more])
     return k
 
-
-class RngStream:
-    """Scalar stream: the single-lane view used outside the path engine.
-    ``bundle`` is its one-lane ``StreamBundle`` (shared, not a copy)."""
-
-    def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
-        self.bundle = StreamBundle(seed, np.array([stream_id], dtype=np.uint64))
-        if counter:
-            self.bundle.set_counter(counter)
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-
-    @property
-    def counter(self) -> int:
-        return int(self.bundle.counters()[0])
-
-    def next_uniform(self) -> float:
-        return float(self.bundle.uniforms()[0])
-
-    def next_normal(self) -> float:
-        return float(self.bundle.normals()[0])
-
-    def next_poisson(self, lam: float) -> int:
-        return int(self.bundle.poissons(np.array([float(lam)]))[0])
-
-    def uniforms(self, n: int):
-        """The next n uniforms, as n calls of ``next_uniform`` would give."""
-        n = int(n)
-        u = self.bundle.uniforms_at(np.arange(n, dtype=np.uint64))
-        self.bundle.advance(n)
-        return u

@@ -56,7 +56,7 @@ import numpy as np
 
 from .criteria import TestFunction, generator_values
 from .model import PowerLaw, ValidatedModel, ValidationError
-from .numerics.rng import RngStream, StreamBundle
+from .numerics.rng import StreamBundle
 
 __all__ = [
     "SimConfig",
@@ -344,6 +344,16 @@ class _Engine:
             return x * grow, t + dt, dt, hit_horizon
 
 
+def _check_start(cfg, x0, t=None, t_name="t"):
+    """Reject a start x0 outside (0, inf) and a horizon t outside
+    (0, horizon_t]; nan fails both."""
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"x0 must be finite and positive, got {x0!r}")
+    if t is not None and not 0.0 < t <= cfg.horizon_t:
+        raise ValueError(f"{t_name} must be in (0, horizon_t = "
+                         f"{cfg.horizon_t!r}], got {t!r}")
+
+
 def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
                g: Optional[TestFunction] = None, quad_tol: float = 1e-8,
                trace: bool = False):
@@ -452,10 +462,13 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     return out
 
 
-def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float,
-               rng: RngStream, max_points: int = 10_000):
-    """One path trace as (t, x) arrays, thinned to at most max_points."""
-    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf, bundle=rng.bundle,
+def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float, seed: int,
+               max_points: int = 10_000):
+    """One path trace on stream 0 of ``seed`` as (t, x) arrays, thinned to
+    at most max_points."""
+    _check_start(cfg, x0)
+    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf,
+                     bundle=StreamBundle(seed, np.zeros(1, dtype=np.uint64)),
                      trace=True)
     pts = out["trace"]
     stride = max(1, int(math.ceil(len(pts) / (max_points - 1))))
@@ -478,10 +491,9 @@ def martingale_residual(model: ValidatedModel, cfg: SimConfig,
     The generator integral is accumulated per step at the left endpoint,
     which matches the stepping scheme exactly.
     """
+    _check_start(cfg, x0, t)
     if not (0.0 < a < x0 < b):
         raise ValueError("need 0 < a < x0 < b")
-    if t > cfg.horizon_t:
-        raise ValueError("t must not exceed the configured horizon")
     g.check_derivatives([a, x0, min(b, 10.0 * x0)])
     bundle = StreamBundle(seed, np.arange(int(n_paths), dtype=np.uint64))
     out = _run_block(model, cfg, x0, a, b, bundle, horizon=t,

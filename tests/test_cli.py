@@ -86,8 +86,8 @@ UNREAD_KEYS = [
     (GBM_CONFIG.replace("horizon_t = 2.0", "horizon = 4.0"), "sim", "horizon"),
     (GBM_CONFIG.replace("adaptive = true", "adaptve = true"), "sim", "adaptve"),
     (GBM_CONFIG + "\n[simulation]\ndt = 1e-3\n", "simulation", ""),
-    (GBM_CONFIG + "\n[criteria]\nrho = 3.0\n", "criteria", "rho"),
-    (GBM_CONFIG + "\n[criteria]\nquad_tol = 1e-9\n", "criteria", "quad_tol"),
+    # the classifier reads no settings: [criteria] is an unknown section
+    (GBM_CONFIG + "\n[criteria]\nsmall_u_grid = 1 0.1\n", "criteria", ""),
     (GBM_CONFIG.replace("[model.a1]\ntype = powerlaw\n",
                         "[model.a1]\ntype = powerlaw\nknots = 1:2\n"),
      "model.a1", "knots"),
@@ -108,7 +108,7 @@ def test_parse_config_field_precise_errors():
         assert f"[{section}]" in str(exc.value) and key in str(exc.value)
 
 
-# a value each SimConfig and CriteriaConfig check rejects:
+# a value each SimConfig check rejects:
 # (section, key, value, a word of the check's message)
 FAILED_CHECKS = [
     ("sim", "dt", "-1", "positive"),
@@ -117,12 +117,6 @@ FAILED_CHECKS = [
     ("sim", "cap_b", "-1e10", "positive"),
     ("sim", "floor_zero", "-1", ">= 0"),
     ("sim", "eps_rule", "proportional", "relative"),
-    ("criteria", "small_u_grid", "", "nonempty"),
-    ("criteria", "large_u_grid", "", "nonempty"),
-    ("criteria", "small_u_grid", "0.1 1", "decreasing"),
-    ("criteria", "small_u_grid", "1 0", "positive"),
-    ("criteria", "large_u_grid", "20 10", "increasing"),
-    ("criteria", "large_u_grid", "3 10", "exceed 3"),
 ]
 
 
@@ -142,7 +136,7 @@ def test_parse_config_reads_percent_literally():
     assert rc.output_path == "out%d.json"
 
 
-# every [sim], [mc], [criteria] and [output] key away from its default
+# every [sim], [mc] and [output] key away from its default
 ALL_KEYS_CONFIG = GBM_CONFIG.replace("""
 [sim]
 dt = 1e-2
@@ -161,19 +155,14 @@ eps_rule = relative
 step_budget = 12345
 """).replace("format = json", """path = rows.csv
 format = CSV
-
-[criteria]
-small_u_grid = 0.5, 0.05, 0.005
-large_u_grid = 20 200 2000
 """)
 
 
 def test_config_round_trip():
     from dataclasses import fields
     every = parse_config_text(ALL_KEYS_CONFIG)
-    for section in (every.sim, every.criteria):
-        for f in fields(section):
-            assert getattr(section, f.name) != f.default, f.name
+    for f in fields(every.sim):
+        assert getattr(every.sim, f.name) != f.default, f.name
     assert (every.n_paths, every.seed, every.threads, every.output_path,
             every.output_format) == (400, 77, 1, "rows.csv", "csv")
     for text in (JUMP_CONFIG, ALL_KEYS_CONFIG):
@@ -182,7 +171,6 @@ def test_config_round_trip():
         rc2 = parse_config_text(echo_to_ini(echo))
         assert rc2.model.spec == rc.model.spec
         assert rc2.sim == rc.sim
-        assert rc2.criteria == rc.criteria
         assert (rc2.n_paths, rc2.seed, rc2.threads, rc2.output_path,
                 rc2.output_format) == (rc.n_paths, rc.seed, rc.threads,
                                        rc.output_path, rc.output_format)
@@ -266,6 +254,33 @@ def test_cli_simulate_trace_deterministic(tmp_path):
     assert body1 == body2
     assert body1.startswith("t,x\n0.0,5.0")
     assert len(body1.splitlines()) <= 10_002
+
+
+# a start or a horizon no path can run from: (command, query, the
+# argument the error names); GBM_CONFIG sets horizon_t = 2
+BAD_QUERIES = [
+    ("simulate", ["--x0", "-5"], "x0"),
+    ("simulate", ["--x0", "0"], "x0"),
+    ("simulate", ["--x0", "nan"], "x0"),
+    ("simulate", ["--x0", "inf"], "x0"),
+    ("passage", ["--x0", "inf", "--a", "1", "--t", "1"], "x0"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "0"], "t"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "-1"], "t"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "nan"], "t"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "3"], "t"),
+]
+
+
+@pytest.mark.parametrize("command, query, name", BAD_QUERIES,
+                         ids=[f"{c} {' '.join(q)}" for c, q, _ in BAD_QUERIES])
+def test_cli_rejects_a_start_or_horizon_no_path_runs_from(tmp_path, capsys,
+                                                          command, query,
+                                                          name):
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, *query, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+    assert not out.exists()
 
 
 def test_cli_sweep_csv_and_thread_determinism(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from nlbranch.cli import CRITICAL_FAMILIES
 from nlbranch.criteria import (
     BoundaryReport,
-    CriteriaConfig,
     InfinityBehavior,
     Verdict,
     apply_generator,
@@ -25,6 +24,8 @@ from nlbranch.criteria import (
     stable_k_integral,
     stable_k_integrals,
 )
+from nlbranch.criteria import _LARGE_U_GRID as LARGE_U_GRID
+from nlbranch.criteria import _SMALL_U_GRID as SMALL_U_GRID
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, Tabulated, validate
 from nlbranch.numerics import gamma
 
@@ -436,8 +437,8 @@ def test_classify_tabulated_exactly():
     assert ev["phi_terms"]["near_zero"] == [[-0.01, -1.0, 0]]
     assert ev["phi_terms"]["near_infinity"] == [[-100.0, -1.0, 0]]
     assert ev["h_growth"] is None and ev["rho"] is None
-    assert len(ev["phi_small"]) == len(CriteriaConfig().small_u_grid)
-    assert len(ev["phi_large"]) == len(CriteriaConfig().large_u_grid)
+    assert len(ev["phi_small"]) == len(SMALL_U_GRID)
+    assert len(ev["phi_large"]) == len(LARGE_U_GRID)
 
 
 def test_classify_tabulated_mixed_sign_drift_holds():
@@ -465,7 +466,7 @@ def test_classify_tabulated_segment_spanning_zero():
     ev = rep.evidence
     assert ev["phi_terms"]["near_zero"] == [[-1.0, 0.0, 0]]
     assert ev["phi_sign_near_zero"] == -1
-    for u in CriteriaConfig().small_u_grid[1:]:
+    for u in SMALL_U_GRID[1:]:
         v, scale = phi_with_scale(model, u)
         assert abs(v + 1.0) <= 1e-12 * scale
     assert verdicts(rep) == (Verdict.HOLDS, Verdict.INCONCLUSIVE,
@@ -785,10 +786,10 @@ def test_h_rho_scale_linearity():
 RHO_SCAN = (0.5, 1.0, 2.0, 4.0)
 
 
-def _h_pairs(cfg):
+def _h_pairs():
     """The 32 (u, rho) pairs of the large grid and RHO_SCAN."""
-    return (list(cfg.large_u_grid) * len(RHO_SCAN),
-            [rho for rho in RHO_SCAN for _ in cfg.large_u_grid])
+    return (list(LARGE_U_GRID) * len(RHO_SCAN),
+            [rho for rho in RHO_SCAN for _ in LARGE_U_GRID])
 
 
 @pytest.mark.parametrize("u_max", [None, 5.0])
@@ -796,12 +797,10 @@ def test_classify_batched_values_equal_one_point_calls(u_max):
     # every grid value of classify's evidence, and the k-integrals of 32
     # pairs in one batched run, equal the one-point calls bit for bit
     model = _tabulated_jump_model(u_max)
-    cfg = CriteriaConfig()
-    ev = classify(model, cfg).evidence
-    for key, grid in (("phi_small", cfg.small_u_grid),
-                      ("phi_large", cfg.large_u_grid)):
+    ev = classify(model).evidence
+    for key, grid in (("phi_small", SMALL_U_GRID), ("phi_large", LARGE_U_GRID)):
         assert ev[key] == [[u, phi_with_scale(model, u)[0]] for u in grid]
-    us, rhos = _h_pairs(cfg)
+    us, rhos = _h_pairs()
     batched = stable_k_integrals(model, us, rhos, 1e-10)
     for u, rho, k in zip(us, rhos, batched):
         assert k == stable_k_integral(model, u, rho, 1e-10)
@@ -825,7 +824,7 @@ def test_k_integrals_share_integrand_calls(monkeypatch):
     model = _tabulated_jump_model()
     classify(model)
     assert calls == []
-    us, rhos = _h_pairs(CriteriaConfig())
+    us, rhos = _h_pairs()
     stable_k_integrals(model, us, rhos, 1e-10)
     batched = list(calls)
     calls.clear()
@@ -880,9 +879,8 @@ def _grid_models():
 
 def test_grid_values_equal_per_point_loops():
     import nlbranch.criteria as crit
-    cfg = CriteriaConfig()
-    us = [*cfg.small_u_grid, *cfg.large_u_grid]
-    h_us, h_rhos = _h_pairs(cfg)
+    us = [*SMALL_U_GRID, *LARGE_U_GRID]
+    h_us, h_rhos = _h_pairs()
     for model in _grid_models():
         assert crit._phi_values(model, us) == _phi_values_per_point(model, us)
         assert [h_rho(model, u, rho, 1e-10) for u, rho in zip(h_us, h_rhos)] \
@@ -898,11 +896,10 @@ def test_symbolic_classify_calls_each_rate_once(monkeypatch):
         return rate(self, u)
 
     monkeypatch.setattr(PowerLaw, "__call__", counted)
-    cfg = CriteriaConfig()
-    rep = classify(make_model(**MIXED_CRITICAL), cfg)
+    rep = classify(make_model(**MIXED_CRITICAL))
     assert rep.method == "symbolic"
     assert len(calls) <= 4
-    assert set(calls) == {len(cfg.small_u_grid) + len(cfg.large_u_grid)}
+    assert set(calls) == {len(SMALL_U_GRID) + len(LARGE_U_GRID)}
 
 
 @pytest.mark.parametrize("params", [JUMP_CRITICAL, MIXED_CRITICAL,

@@ -97,6 +97,27 @@ def test_passage_prob_preconditions():
         estimate_passage_prob(m, cfg, x0=2.0, a=1.0, t=1.0, n_paths=50, seed=0)
 
 
+def test_runs_reject_a_start_or_horizon_no_path_runs_from():
+    # x0 must be finite and positive, and t in (0, horizon_t]; nan fails
+    # both, and each error names its argument
+    m = make_model()
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0)
+    for x0 in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^x0 must be"):
+            estimate_passage_prob(m, cfg, x0=x0, a=1e-3, t=1.0, n_paths=200,
+                                  seed=0)
+        with pytest.raises(ValueError, match="^x0 must be"):
+            extinction_explosion_rates(m, cfg, x0=x0, horizon=1.0,
+                                       n_paths=200, seed=0)
+    for t in (0.0, -1.0, math.nan, 5.0):
+        with pytest.raises(ValueError, match="^t must be"):
+            estimate_passage_prob(m, cfg, x0=2.0, a=1.0, t=t, n_paths=200,
+                                  seed=0)
+        with pytest.raises(ValueError, match="^horizon must be"):
+            extinction_explosion_rates(m, cfg, x0=2.0, horizon=t,
+                                       n_paths=200, seed=0)
+
+
 def test_passage_prob_gbm_oracle_small():
     # log state is a driftless Brownian motion with variance 2t: the
     # reflection principle gives p = erfc(ln(x0/a) / (2 sqrt t))

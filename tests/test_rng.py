@@ -1,36 +1,105 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from nlbranch.numerics import RngStream, StreamBundle
+from nlbranch.numerics import StreamBundle
 from nlbranch.numerics.rng import _to_unit
 
 
+def one_lane(seed, stream_id=0, counter=0):
+    """Stream ``stream_id`` of ``seed`` alone, as a one-lane bundle at
+    ``counter``."""
+    bundle = StreamBundle(seed, np.array([stream_id], dtype=np.uint64))
+    bundle.set_counter(counter)
+    return bundle
+
+
+def draws(bundle, n):
+    """The next n uniforms of a one-lane bundle, one call each."""
+    return [float(bundle.uniforms()[0]) for _ in range(n)]
+
+
 def test_same_seed_same_stream_identical_sequences():
-    a = RngStream(1234, stream_id=7)
-    b = RngStream(1234, stream_id=7)
-    seq_a = [a.next_uniform() for _ in range(200)]
-    seq_b = [b.next_uniform() for _ in range(200)]
-    assert seq_a == seq_b
+    a = one_lane(1234, 7)
+    b = one_lane(1234, 7)
+    assert draws(a, 200) == draws(b, 200)
 
 
 def test_output_is_pure_function_of_counter():
-    s = RngStream(42, stream_id=3)
-    first = [s.next_uniform() for _ in range(50)]
-    replay = RngStream(42, stream_id=3, counter=10)
-    assert [replay.next_uniform() for _ in range(40)] == first[10:]
-    # one vector draw equals the scalar draws bit for bit
-    vector = RngStream(42, stream_id=3, counter=10)
-    assert np.array_equal(vector.uniforms(40), first[10:])
-    assert vector.counter == 50
+    first = draws(one_lane(42, 3), 50)
+    replay = one_lane(42, 3, counter=10)
+    assert draws(replay, 40) == first[10:]
+    # one random-access read equals the one-at-a-time draws bit for bit
+    vector = one_lane(42, 3, counter=10)
+    assert np.array_equal(vector.uniforms_at(np.arange(40)), first[10:])
+    vector.advance(40)
+    assert vector.counters()[0] == 50
 
 
 def test_distinct_streams_differ_and_counter_advances():
-    s0 = RngStream(9, stream_id=0)
-    s1 = RngStream(9, stream_id=1)
-    x0 = [s0.next_uniform() for _ in range(100)]
-    x1 = [s1.next_uniform() for _ in range(100)]
-    assert x0 != x1
-    assert s0.counter == 100
+    s0 = one_lane(9, 0)
+    s1 = one_lane(9, 1)
+    assert draws(s0, 100) != draws(s1, 100)
+    assert s0.counters()[0] == 100
+
+
+def test_uniforms_at_fixed_counters_match_their_digest():
+    # the words at counters 0-63 and at the top 64 below 2^63, streams 0-7
+    # of three seeds (one past 2^63), as little-endian float64: a change to
+    # the hash, the key derivation or the conversion changes the digest
+    digest = hashlib.sha256()
+    lanes = np.repeat(np.arange(8), 64)
+    offsets = np.tile(np.arange(64, dtype=np.uint64), 8)
+    for seed in (0, 1, 2 ** 63 + 5):
+        bundle = StreamBundle(seed, np.arange(8, dtype=np.uint64))
+        for base in (0, 2 ** 63 - 64):
+            bundle.set_counter(base)
+            u = bundle.uniforms_at(offsets, lanes)
+            digest.update(u.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "c0da00d2c5be43dc03a8503f450d9d41b2e91883cb329fc911a7292a33e700bf")
+
+
+def test_set_counter_takes_counters_below_two_to_the_63():
+    bundle = StreamBundle(3, np.arange(2, dtype=np.uint64))
+    bundle.set_counter(2 ** 63 - 1, np.array([1]))
+    assert bundle.counters().tolist() == [0, 2 ** 63 - 1]
+    for bad in (2 ** 63, -1):
+        with pytest.raises(ValueError, match="outside"):
+            bundle.set_counter(bad)
+    assert bundle.counters().tolist() == [0, 2 ** 63 - 1]
+
+
+def test_neighbouring_streams_are_uncorrelated():
+    # streams i and i + 1 of one seed, 2^16 words each from counter 0:
+    # under independence each correlation is about N(0, 1/n), so 4.5
+    # standard deviations bound all 16 pairs with probability 1 - 1e-4
+    n, ids = 2 ** 16, np.arange(17)
+    bundle = StreamBundle(2024, ids.astype(np.uint64))
+    u = bundle.uniforms_at(np.tile(np.arange(n, dtype=np.uint64), ids.size),
+                           np.repeat(ids, n)).reshape(ids.size, n)
+    r = [np.corrcoef(u[i], u[i + 1])[0, 1] for i in range(ids.size - 1)]
+    assert np.max(np.abs(r)) < 4.5 / np.sqrt(n)
+
+
+def test_consecutive_pairs_of_one_stream_fill_a_16x16_grid_evenly():
+    # serial test: 2^18 disjoint pairs (u_2k, u_2k+1) of one stream in a
+    # 16 x 16 grid, 1024 expected per cell; chi-square with 255 degrees of
+    # freedom, both tails at 1e-6.  Streams near 0 and past 2^32, from
+    # counter 0 and from the top of the counter range
+    pairs = 2 ** 18
+    lo, hi = chi2.ppf(1e-6, 255), chi2.isf(1e-6, 255)
+    for stream_id, counter in ((0, 0), (1, 0), (2 ** 32 + 7, 0),
+                               (5, 2 ** 63 - 2 * pairs)):
+        bundle = one_lane(99, stream_id, counter)
+        u = bundle.uniforms_at(np.arange(2 * pairs)).reshape(pairs, 2)
+        cells = (u * 16).astype(int)
+        counts = np.bincount(cells[:, 0] * 16 + cells[:, 1], minlength=256)
+        expected = pairs / 256
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert lo < stat < hi, (stream_id, counter, stat)
 
 
 def test_uniform_range_and_equidistribution_smoke():
@@ -67,20 +136,20 @@ def test_streams_are_not_shifted_copies():
 
 
 def test_normal_moments():
-    s = RngStream(77)
-    z = np.array([s.next_normal() for _ in range(30_000)])
+    s = one_lane(77)
+    z = np.array([s.normals()[0] for _ in range(30_000)])
     assert abs(z.mean()) < 0.02
     assert abs(z.var() - 1.0) < 0.03
     assert abs((z ** 3).mean()) < 0.06
 
 
 def test_poisson_zero_rate_and_domain():
-    s = RngStream(3)
-    assert s.next_poisson(0.0) == 0
+    s = one_lane(3)
+    assert s.poissons(np.array([0.0]))[0] == 0
     with pytest.raises(ValueError):
-        s.next_poisson(-1.0)
+        s.poissons(np.array([-1.0]))
     with pytest.raises(ValueError):
-        s.next_poisson(float("inf"))
+        s.poissons(np.array([float("inf")]))
 
 
 def test_poisson_mean_lambda_4():
@@ -106,9 +175,7 @@ def test_bundle_matches_scalar_streams_bitwise():
     bundle = StreamBundle(31415, np.array([2, 5, 11]))
     block = np.array([bundle.uniforms() for _ in range(20)])
     for col, sid in enumerate((2, 5, 11)):
-        s = RngStream(31415, stream_id=sid)
-        vals = np.array([s.next_uniform() for _ in range(20)])
-        assert np.array_equal(block[:, col], vals)
+        assert np.array_equal(block[:, col], draws(one_lane(31415, sid), 20))
 
 
 def test_partial_lane_consumption_keeps_purity():
@@ -116,7 +183,7 @@ def test_partial_lane_consumption_keeps_purity():
     bundle = StreamBundle(8, np.array([0, 1]))
     bundle.uniforms(idx=np.array([0]))          # lane 0 consumes one word
     u1 = bundle.uniforms(idx=np.array([1]))[0]  # lane 1 still at counter 0
-    assert u1 == RngStream(8, stream_id=1).next_uniform()
+    assert u1 == one_lane(8, 1).uniforms()[0]
 
 
 def test_random_access_by_offset():
@@ -132,7 +199,7 @@ def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
     ids = np.array([3, 9, 14, 20], dtype=np.uint64)
     ref = StreamBundle(77, ids)
     bundle = StreamBundle(77, ids)
-    start = 2 ** 64 - 2  # the draws below carry into the high word
+    start = 2 ** 63 - 5  # the draws below end at the top counter, 2^63 - 1
     ref.set_counter(start)
     bundle.set_counter(start)
     pick = np.array([1, 3])
@@ -193,13 +260,13 @@ def _poisson_search(lam, u, p0):
 def test_poisson_count_is_its_pieces_inverted_by_the_textbook_search():
     # a lane splits its rate into ceil(lam / 500) equal pieces (one at most
     # 500) and inverts each on its next word; lanes of 1 to 100 pieces
-    # share the call, selected in any order, and the counters carry into
-    # the high word
+    # share the call, selected in any order, and the 100-piece lanes read
+    # the top words below 2^63
     lam = np.array([1001.0, 5000.0, 5e4, 0.5, 700.0, 5e4, 1001.0, 0.0,
                     500.0, 5000.0])
     pieces = np.maximum(np.ceil(lam / 500.0), 1.0).astype(int)
     ids = np.arange(3, 31, 2, dtype=np.uint64)
-    start = 2 ** 64 - 30
+    start = 2 ** 63 - 100
     for idx in (None, np.array([13, 2, 7, 0, 11, 5, 9, 3, 12, 6])):
         lanes = np.arange(lam.size) if idx is None else idx
         bundle = StreamBundle(808, ids if idx is not None else ids[:lam.size])

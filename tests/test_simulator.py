@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from nlbranch.criteria import generator_values, linear_test_function, ln_test_function
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
-from nlbranch.numerics import RngStream, StreamBundle
+from nlbranch.numerics import StreamBundle
 from nlbranch.simulator import (
     SimConfig,
     _cutoff_terms,
@@ -17,6 +17,11 @@ from nlbranch.simulator import (
     trace_path,
 )
 from nlbranch.numerics import gamma
+
+
+def one_lane(seed, stream_id=0):
+    """Stream ``stream_id`` of ``seed`` alone, as a one-lane bundle."""
+    return StreamBundle(seed, np.array([stream_id], dtype=np.uint64))
 
 
 def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
@@ -91,7 +96,7 @@ def test_step_deterministic_drift():
     m = make_model(b0=1.0, r0=0.0)
     cfg = SimConfig(dt=0.1, eps_cut=1e-4, horizon_t=10.0)
     x, t, _, hit = _Engine(m, cfg).advance(np.array([1.0]), np.zeros(1),
-                                           RngStream(1).bundle, None)
+                                           one_lane(1), None)
     assert x[0] == pytest.approx(1.1, rel=1e-15)
     assert t[0] == pytest.approx(0.1)
     assert not hit[0]
@@ -103,7 +108,7 @@ def test_step_absorbs_at_zero_and_freezes():
     m = make_model(b0=1.0, r0=0.0)
     cfg = SimConfig(dt=0.1, eps_cut=1e-4, horizon_t=10.0, floor_zero=2.0)
     out = _run_block(m, cfg, x0=1.0, a=-1.0, b=np.inf,
-                     bundle=RngStream(1).bundle)
+                     bundle=one_lane(1))
     assert out["absorbed"][0] and out["x"][0] == 0.0
     assert out["tau_zero"][0] == out["t"][0] == pytest.approx(0.1)
     assert (out["iterations"], out["lane_steps"]) == (1, 1)
@@ -184,7 +189,7 @@ def test_simulate_until_drift_only_upward():
     m = make_model(b0=1.0, r0=1.0)  # dx = x dt: x(t) = e^t
     cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=3.0)
     out = _run_block(m, cfg, x0=10.0, a=5.0, b=100.0,
-                     bundle=RngStream(11).bundle)
+                     bundle=one_lane(11))
     assert np.isnan(out["tau_a"][0])
     assert out["tau_b"][0] == pytest.approx(math.log(10.0), abs=0.01)
     assert out["x"][0] > 100.0
@@ -193,8 +198,8 @@ def test_simulate_until_drift_only_upward():
 def test_trace_path_thinned_and_deterministic():
     m = make_model(b0=1.0, r0=1.0, b1=0.5, r1=2.0)
     cfg = SimConfig(dt=1e-4, eps_cut=1e-4, horizon_t=2.0)
-    t1, x1 = trace_path(m, cfg, 1.0, RngStream(42, stream_id=0), max_points=500)
-    t2, x2 = trace_path(m, cfg, 1.0, RngStream(42, stream_id=0), max_points=500)
+    t1, x1 = trace_path(m, cfg, 1.0, 42, max_points=500)
+    t2, x2 = trace_path(m, cfg, 1.0, 42, max_points=500)
     assert len(t1) <= 501
     assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
     assert t1[0] == 0.0 and x1[0] == 1.0
@@ -355,13 +360,13 @@ def test_paths_stay_nonnegative_with_heavy_compensation():
 
 
 def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
-    """Lane i alone, stepped by the engine on its own RngStream until its
+    """Lane i alone, stepped by the engine on its own stream until its
     first event or the step budget: the plain loop a block run must
     reproduce.  Returns the lane's outputs, its stream counter and its
     step count."""
     h = cfg.horizon_t if horizon is None else horizon
     eng = _Engine(m, replace(cfg, horizon_t=h), levels=(a, b))
-    rng = RngStream(seed, stream_id=i)
+    rng = one_lane(seed, i)
     x, t = np.array([float(x0)]), np.zeros(1)
     lg_integral = np.zeros(1)
     nan = float("nan")
@@ -372,7 +377,7 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
         steps += 1
         if g is not None:
             lg = generator_values(m, g, x, 1e-8)
-        x, t, dt, hit = eng.advance(x, t, rng.bundle, np.array([0]))
+        x, t, dt, hit = eng.advance(x, t, rng, np.array([0]))
         if g is not None:
             lg_integral = lg_integral + lg * dt
         xv, tv = float(x[0]), float(t[0])
@@ -387,7 +392,7 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
             lane.update(absorbed=absorbed, capped=capped, unfinished=False)
             break
     lane.update(x=x[0], t=t[0], lg_integral=lg_integral[0])
-    return lane, rng.counter, steps
+    return lane, int(rng.counters()[0]), steps
 
 
 def _assert_lanes_match_single_runs(m, cfg, x0, a, b, n, seed, **kwargs):
@@ -453,11 +458,11 @@ def test_lane_jump_sums_do_not_depend_on_the_block(jumps):
     counts = counters - words
     assert min(counts) <= 256 < max(counts)
     for i in range(n):
-        rng = RngStream(5, stream_id=i)
-        xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1),
-                                              rng.bundle, None)
+        rng = one_lane(5, i)
+        xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1), rng,
+                                              None)
         assert xi[0] == x[i], f"lane {i}"
-        assert rng.counter == counters[i]
+        assert rng.counters()[0] == counters[i]
 
 
 @pytest.mark.parametrize("eps_rule", ["absolute", "relative"])
