@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 configuration error,
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -70,16 +71,23 @@ def _emit(report: Dict, out_path: Optional[str]) -> None:
 
 
 def _resolve_threads(args, rc: RunConfig) -> int:
+    """--threads, else NLBRANCH_THREADS, else [mc] threads (which the run
+    file's parse checks); a count below 1 exits 1 and names its source."""
     if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("NLBRANCH_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("env", "NLBRANCH_THREADS",
-                              f"not an integer: {env!r}")
-    return max(1, rc.threads)
+    if env is None:
+        return rc.threads
+    try:
+        threads = int(env)
+    except ValueError:
+        raise ConfigError("env", "NLBRANCH_THREADS", f"not an integer: {env!r}")
+    if threads < 1:
+        raise ConfigError("env", "NLBRANCH_THREADS",
+                          f"must be >= 1, got {threads}")
+    return threads
 
 
 def _load(args) -> RunConfig:
@@ -152,13 +160,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# a grid column overrides one of the parameters a sweep row prints
+GRID_COLUMNS = SWEEP_COLUMNS[:SWEEP_COLUMNS.index("predicted")]
+
+
 def _read_grid(path: str) -> List[Dict[str, float]]:
     grid = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError("grid", "", f"{path}: empty grid file")
+        for name in reader.fieldnames:
+            if name.strip() not in GRID_COLUMNS:
+                raise ConfigError("grid", name, "unknown column; known: "
+                                  + ", ".join(GRID_COLUMNS))
         for row in reader:
+            if None in row:   # DictReader's key for values past the header
+                raise ConfigError("grid", "", f"{path} line {reader.line_num}:"
+                                  " more values than columns")
             point = {}
             for key, raw in row.items():
                 if raw is None or raw.strip() == "":
@@ -203,6 +222,9 @@ def cmd_sweep(args) -> int:
     }
     rows = sweep(template, grid, rc.sim, n_paths=rc.n_paths, seed=rc.seed,
                  threads=threads)
+    for row in rows:
+        if row.error is not None:
+            print(f"row {row.index}: {row.error}", file=sys.stderr)
     if rc.output_format == "csv":
         text = _sweep_csv(rows, rc.n_paths, rc.seed)
         if rc.output_path:
@@ -337,7 +359,10 @@ def cmd_selftest(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parse_args
+    leaves it unchanged and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="nlbranch",
         description="Boundary-behavior classification and Monte Carlo "
@@ -381,9 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code; ``--help`` raises ``SystemExit(0)``.
+
+    May be called repeatedly in one process: the parser is built on the
+    first call and reused, and no call sees another's arguments.
+    ``sweep`` writes ``row <index>: <error>`` to stderr for each failed
+    row and still exits 0; a grid column outside ``GRID_COLUMNS`` exits
+    1.  ``--threads``, ``NLBRANCH_THREADS`` and ``[mc] threads`` below 1
+    exit 1, naming the source.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the numeric-failure code
         if exc.code == 0:   # --help

@@ -238,6 +238,9 @@ def parse_config_text(text: str) -> RunConfig:
 
     rc = RunConfig(model=model, sim=_build(cp, "sim"),
                    **_read_section(cp, "mc"), **_read_section(cp, "output"))
+    if rc.threads < 1:
+        raise ConfigError("mc", "threads",
+                          f"threads must be >= 1, got {rc.threads}")
     rc.output_format = rc.output_format.lower()
     if rc.output_format not in ("json", "csv"):
         raise ConfigError("output", "format", "must be json or csv")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from nlbranch.cli import main
+from nlbranch.cli import build_parser, main
 from nlbranch.config import (
     ConfigError,
     config_echo,
@@ -108,7 +108,7 @@ def test_parse_config_field_precise_errors():
         assert f"[{section}]" in str(exc.value) and key in str(exc.value)
 
 
-# a value each SimConfig check rejects:
+# a value each SimConfig or [mc] check rejects:
 # (section, key, value, a word of the check's message)
 FAILED_CHECKS = [
     ("sim", "dt", "-1", "positive"),
@@ -117,6 +117,7 @@ FAILED_CHECKS = [
     ("sim", "cap_b", "-1e10", "positive"),
     ("sim", "floor_zero", "-1", ">= 0"),
     ("sim", "eps_rule", "proportional", "relative"),
+    ("mc", "threads", "0", ">= 1"),
 ]
 
 
@@ -226,6 +227,48 @@ def test_cli_usage_error_exit_code(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_cli_builds_one_parser_for_many_calls(tmp_path):
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["classify", "--config", cfg,
+                     "--out", str(tmp_path / "rep.json")]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_cli_calls_share_no_arguments(tmp_path):
+    # a --seed given once does not stick to the parser: the next call
+    # echoes the run file's seed (77)
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    query = ["passage", "--config", cfg, "--x0", "10", "--a", "1", "--t", "1"]
+    seeds = []
+    for extra in (["--seed", "7"], []):
+        out = tmp_path / "p.json"
+        assert main([*query, *extra, "--out", str(out)]) == 0
+        seeds.append(json.loads(out.read_text())["config"]["mc"]["seed"])
+    assert seeds == [7, 77]
+
+
+def test_cli_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    out = tmp_path / "rep.json"
+    good = ["classify", "--config", cfg, "--out", str(out)]
+    assert main(good) == 0
+    first = json.loads(out.read_text())["results"]
+    out.unlink()
+    assert main(["classify"]) == 1
+    assert main(good) == 0
+    assert json.loads(out.read_text())["results"] == first
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: nlbranch" in capsys.readouterr().out
+
+
 def test_cli_passage_gbm(tmp_path):
     cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
     out = str(tmp_path / "p.json")
@@ -268,6 +311,10 @@ BAD_QUERIES = [
     ("passage", ["--x0", "10", "--a", "1", "--t", "-1"], "t"),
     ("passage", ["--x0", "10", "--a", "1", "--t", "nan"], "t"),
     ("passage", ["--x0", "10", "--a", "1", "--t", "3"], "t"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "1", "--threads", "0"],
+     "threads"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "1", "--threads", "-2"],
+     "threads"),
 ]
 
 
@@ -317,7 +364,7 @@ def test_cli_sweep_csv_and_thread_determinism(tmp_path):
     assert p_hats[2] > 0.4 and p_hats[3] > 0.4
 
 
-def test_cli_sweep_env_threads(tmp_path, monkeypatch):
+def test_cli_sweep_env_threads(tmp_path, monkeypatch, capsys):
     cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
     grid = write(tmp_path, "grid.csv", "r0,r1\n1.0,2.0\n")
     ref = str(tmp_path / "ref.csv")
@@ -328,6 +375,50 @@ def test_cli_sweep_env_threads(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--grid", grid, "--format", "csv",
                  "--out", env]) == 0
     assert open(ref).read() == open(env).read()
+    monkeypatch.setenv("NLBRANCH_THREADS", "0")
+    os.remove(env)
+    assert main(["sweep", "--config", cfg, "--grid", grid, "--format", "csv",
+                 "--out", env]) == 1
+    assert "[env] NLBRANCH_THREADS: must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(env)
+
+
+def test_cli_sweep_names_each_failed_row_on_stderr(tmp_path, capsys):
+    # row 0 asks for t = 5 past horizon_t = 2: its estimate fails, the
+    # CSV keeps its nan row, stderr says why, and the sweep still exits 0
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    grid = write(tmp_path, "grid.csv",
+                 "r0,r1,x0,a,t\n1.0,2.0,100,1,5\n1.0,2.0,100,1,1\n")
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["sweep", "--config", cfg, "--grid", grid,
+                     "--format", fmt, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("row 0: t must be in (0, horizon_t")
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            p_hats = [float(ln.split(",")[11]) for ln in lines[1:]]
+        else:
+            rows = json.loads(out.read_text())["results"]
+            p_hats = [float(row["p_hat"]) for row in rows]
+        assert p_hats[0] != p_hats[0] and 0.0 <= p_hats[1] <= 1.0
+
+
+@pytest.mark.parametrize("header, body, key, message", [
+    ("r_1,x0,a,t", "3.0,100,1,1", "r_1", "unknown column; known: r0, r1,"),
+    ("r0,r1", "1.0,2.0,3.0", "", "more values than columns"),
+], ids=["misspelt column", "extra value"])
+def test_cli_sweep_rejects_a_grid_it_cannot_read(tmp_path, capsys, header,
+                                                 body, key, message):
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    grid = write(tmp_path, "grid.csv", f"{header}\n{body}\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--grid", grid,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [grid] {key}".rstrip()) and message in err
+    assert not out.exists()
 
 
 SWEEP_REJECTS = [
