@@ -61,13 +61,17 @@ def _report(command: str, config: Optional[Dict], results,
     }
 
 
-def _emit(report: Dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2)
+def _write(text: str, out_path: Optional[str]) -> None:
+    """Write ``text`` to ``out_path``, or to standard output without one."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(report: Dict, out_path: Optional[str]) -> None:
+    _write(json.dumps(report, indent=2) + "\n", out_path)
 
 
 def _resolve_threads(args, rc: RunConfig) -> int:
@@ -144,14 +148,8 @@ def cmd_simulate(args) -> int:
     rc = _load(args)
     ts, xs = trace_path(rc.model, rc.sim, args.x0, rc.seed)
     if rc.output_format == "csv":
-        target = rc.output_path
         rows = [f"{float(t)!r},{float(x)!r}" for t, x in zip(ts, xs)]
-        text = "t,x\n" + "\n".join(rows) + "\n"
-        if target:
-            with open(target, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("t,x\n" + "\n".join(rows) + "\n", rc.output_path)
     else:
         results = {"trace": [[float(t), float(x)] for t, x in zip(ts, xs)],
                    "points": int(len(ts))}
@@ -226,12 +224,7 @@ def cmd_sweep(args) -> int:
         if row.error is not None:
             print(f"row {row.index}: {row.error}", file=sys.stderr)
     if rc.output_format == "csv":
-        text = _sweep_csv(rows, rc.n_paths, rc.seed)
-        if rc.output_path:
-            with open(rc.output_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_sweep_csv(rows, rc.n_paths, rc.seed), rc.output_path)
     else:
         results = [dict(zip(SWEEP_COLUMNS, row.csv_values(rc.n_paths, rc.seed)))
                    for row in rows]

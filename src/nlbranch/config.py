@@ -27,6 +27,7 @@ from .model import (
     ValidatedModel,
     validate,
 )
+from .montecarlo import MIN_PATHS
 from .numerics import gamma
 from .simulator import SimConfig
 
@@ -164,33 +165,31 @@ def _parse_rate(cp, section, alpha, b0=None, required=False):
         return PowerLaw(b, r)
     if kind == "tabulated":
         _check_keys(cp, section, ("type", "knots"))
-        raw = _get(cp, section, "knots", required=True)
-        knots = []
-        for item in raw.replace(",", " ").split():
-            if ":" not in item:
-                raise ConfigError(section, "knots",
-                                  f"expected u:value pairs, got {item!r}")
-            u_s, v_s = item.split(":", 1)
-            knots.append((_as_float(section, "knots", u_s),
-                          _as_float(section, "knots", v_s)))
-        return Tabulated(tuple(knots))
+        return Tabulated(_pairs(section, "knots", "u:value",
+                                _get(cp, section, "knots", required=True)))
     raise ConfigError(section, "type", f"unknown rate type {kind!r}")
+
+
+def _pairs(section, key, form, raw) -> Tuple[Tuple[float, float], ...]:
+    """The ``a:b`` float pairs of ``raw``, split on commas or whitespace;
+    ``form`` names a pair in the error for an item without a colon."""
+    pairs: List[Tuple[float, float]] = []
+    for item in raw.replace(",", " ").split():
+        if ":" not in item:
+            raise ConfigError(section, key,
+                              f"expected {form} pairs, got {item!r}")
+        left, right = item.split(":", 1)
+        pairs.append((_as_float(section, key, left),
+                      _as_float(section, key, right)))
+    return tuple(pairs)
 
 
 def _parse_atoms(cp):
     if not cp.has_section("model.nu"):
         return FiniteMeasure(())
     _check_keys(cp, "model.nu", ("atoms",))
-    raw = _get(cp, "model.nu", "atoms", default="")
-    atoms: List[Tuple[float, float]] = []
-    for item in raw.replace(",", " ").split():
-        if ":" not in item:
-            raise ConfigError("model.nu", "atoms",
-                              f"expected z:weight pairs, got {item!r}")
-        z_s, w_s = item.split(":", 1)
-        atoms.append((_as_float("model.nu", "atoms", z_s),
-                      _as_float("model.nu", "atoms", w_s)))
-    return FiniteMeasure(tuple(atoms))
+    return FiniteMeasure(_pairs("model.nu", "atoms", "z:weight",
+                                _get(cp, "model.nu", "atoms", default="")))
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -241,6 +240,9 @@ def parse_config_text(text: str) -> RunConfig:
     if rc.threads < 1:
         raise ConfigError("mc", "threads",
                           f"threads must be >= 1, got {rc.threads}")
+    if rc.n_paths < MIN_PATHS:
+        raise ConfigError("mc", "n_paths",
+                          f"n_paths must be >= {MIN_PATHS}, got {rc.n_paths}")
     rc.output_format = rc.output_format.lower()
     if rc.output_format not in ("json", "csv"):
         raise ConfigError("output", "format", "must be json or csv")

@@ -32,9 +32,12 @@ __all__ = [
     "extinction_explosion_rates",
     "sweep",
     "SWEEP_COLUMNS",
+    "MIN_PATHS",
 ]
 
 _Z95 = 1.959963984540054
+# fewest paths a passage estimate takes, and so the least [mc] n_paths
+MIN_PATHS = 100
 # lanes per simulation block; threads share out whole blocks, so a run
 # of at most this many paths takes one thread.  From a few thousand lanes
 # on, per-element work, not per-op numpy overhead, dominates a step: a
@@ -146,8 +149,9 @@ def estimate_passage_prob(model, cfg: SimConfig, x0: float, a: float,
     _check_start(cfg, x0, t)
     if not 0.0 < a < x0:
         raise ValueError("need 0 < a < x0")
-    if n_paths < 100:
-        raise ValueError("need at least 100 paths for a meaningful interval")
+    if n_paths < MIN_PATHS:
+        raise ValueError(f"need at least {MIN_PATHS} paths for a meaningful "
+                         "interval")
     out = _run_replicates(model, cfg, x0, a, np.inf, t, n_paths, seed,
                           threads, stream_offset)
     # the run stops at t, so every recorded crossing is one by t; the last
@@ -227,8 +231,8 @@ def _model_from_params(params: Dict[str, float]):
 
 
 def sweep(template: Dict[str, float], grid: List[Dict[str, float]],
-          cfg: SimConfig, n_paths: int, seed: int, threads: int = 1,
-          skip_simulation: bool = False) -> List[SweepRow]:
+          cfg: SimConfig, n_paths: int, seed: int,
+          threads: int = 1) -> List[SweepRow]:
     """Classify and estimate every grid point of a power-law family.
 
     ``template`` holds the base parameters (b0, r0, ..., alpha, x0, a, t)
@@ -248,16 +252,13 @@ def sweep(template: Dict[str, float], grid: List[Dict[str, float]],
             rows.append(SweepRow(index=i, params=params, predicted="invalid",
                                  estimate=None, error=str(exc)))
             continue
-        estimate = None
-        error = None
-        if not skip_simulation:
-            try:
-                estimate = estimate_passage_prob(
-                    model, cfg, float(params["x0"]), float(params["a"]),
-                    float(params["t"]), n_paths, seed, threads,
-                    stream_offset=i * n_paths)
-            except Exception as exc:
-                error = str(exc)
+        try:
+            estimate, error = estimate_passage_prob(
+                model, cfg, float(params["x0"]), float(params["a"]),
+                float(params["t"]), n_paths, seed, threads,
+                stream_offset=i * n_paths), None
+        except Exception as exc:
+            estimate, error = None, str(exc)
         rows.append(SweepRow(index=i, params=params, predicted=predicted,
                              estimate=estimate, error=error))
     return rows

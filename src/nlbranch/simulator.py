@@ -50,7 +50,6 @@ its live lanes cost, not what the block does.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -354,9 +353,7 @@ def _check_start(cfg, x0, t=None, t_name="t"):
                          f"{cfg.horizon_t!r}], got {t!r}")
 
 
-def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
-               g: Optional[TestFunction] = None, quad_tol: float = 1e-8,
-               trace: bool = False):
+def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     """Simulate one block of lanes to crossing/absorption/cap/horizon.
 
     Only the live lanes are stepped, held contiguous with their streams in
@@ -368,11 +365,16 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     compacted.  Lanes still live when ``step_budget`` runs out are written
     back the same way.
 
+    ``on_step(lanes, x_left, x, t, dt)``, when given, is called after
+    every step and before any finished lane leaves the live set:
+    ``lanes`` are the caller's indices of the live lanes, ``x_left`` their
+    states before the step and ``x``, ``t``, ``dt`` after it.  It must not
+    write to these arrays.
+
     Returns a dict of per-lane arrays (crossing times are nan when the
     event never happened, ``unfinished`` marks lanes the step budget cut
-    off), the generator integral when g is given, and the ints
-    ``iterations`` (steps taken) and ``lane_steps`` (lanes summed over
-    them).
+    off) and the ints ``iterations`` (steps taken) and ``lane_steps``
+    (lanes summed over them).
     """
     horizon = cfg.horizon_t if horizon is None else float(horizon)
     eng = _Engine(model, replace(cfg, horizon_t=horizon), levels=(a, b))
@@ -386,13 +388,10 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     absorbed = np.zeros(n, dtype=bool)
     capped = np.zeros(n, dtype=bool)
     unfinished = np.zeros(n, dtype=bool)
-    lg_integral = np.zeros(n) if g is not None else None
-    path = [(0.0, float(x0))] if trace else None
 
-    # the live lanes: caller's index, state, generator integral, streams
+    # the live lanes: caller's index, state and streams
     lanes = np.arange(n)
     xl, tl = x.copy(), t.copy()
-    lgl = np.zeros(n) if g is not None else None
     live = bundle.take(lanes)
     # one lower and one upper test finds every lane that finishes: a lane
     # at or below the zero floor is below a barrier above the floor, and a
@@ -404,16 +403,11 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
     while lanes.size and iterations < cfg.step_budget:
         iterations += 1
         lane_steps += lanes.size
-        if g is not None:
-            lg = generator_values(model, g, xl, quad_tol)
+        x_left = xl
         # idx positional: perfbench's trace hook reads it as args[4]
         xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None)
-        if g is not None:
-            lgl += lg * dt
-
-        if trace:
-            path.append((float(tl[0]),
-                         0.0 if xl[0] <= floor else float(xl[0])))
+        if on_step is not None:
+            on_step(lanes, x_left, xl, tl, dt)
         done = below(xl) | above(xl) | hit_horizon
         if not done.any():
             continue
@@ -437,40 +431,38 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None,
         keep = ~done
         lanes, xl, tl = lanes[keep], xl[keep], tl[keep]
         live = live.take(keep)
-        if g is not None:
-            lg_integral[fin] = lgl[sel]
-            lgl = lgl[keep]
 
     # lanes the step budget cut off
     unfinished[lanes] = True
     x[lanes] = xl
     t[lanes] = tl
     bundle.put(lanes, live)
-    if g is not None:
-        lg_integral[lanes] = lgl
-
-    out = {
+    return {
         "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b,
         "tau_zero": tau_zero, "capped_at": capped_at,
         "absorbed": absorbed, "capped": capped, "unfinished": unfinished,
         "iterations": iterations, "lane_steps": lane_steps,
     }
-    if g is not None:
-        out["lg_integral"] = lg_integral
-    if trace:
-        out["trace"] = path
-    return out
 
 
 def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float, seed: int,
                max_points: int = 10_000):
     """One path trace on stream 0 of ``seed`` as (t, x) arrays, thinned to
-    at most max_points."""
+    at most max_points.
+
+    The path is the lane's (t, x) after every step, from (0, x0) to its
+    first event; a state at or below the zero floor reads 0.
+    """
     _check_start(cfg, x0)
-    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf,
-                     bundle=StreamBundle(seed, np.zeros(1, dtype=np.uint64)),
-                     trace=True)
-    pts = out["trace"]
+    pts = [(0.0, float(x0))]
+
+    def record(lanes, x_left, x, t, dt):
+        pts.append((float(t[0]),
+                    0.0 if x[0] <= cfg.floor_zero else float(x[0])))
+
+    _run_block(model, cfg, x0, a=-1.0, b=np.inf,
+               bundle=StreamBundle(seed, np.zeros(1, dtype=np.uint64)),
+               on_step=record)
     stride = max(1, int(math.ceil(len(pts) / (max_points - 1))))
     thinned = pts[::stride]
     if thinned[-1] != pts[-1]:
@@ -489,20 +481,27 @@ def martingale_residual(model: ValidatedModel, cfg: SimConfig,
     martingale.
 
     The generator integral is accumulated per step at the left endpoint,
-    which matches the stepping scheme exactly.
+    which matches the stepping scheme exactly: a step callback adds
+    (L g)(x_left) dt to each live lane's integral.
     """
     _check_start(cfg, x0, t)
     if not (0.0 < a < x0 < b):
         raise ValueError("need 0 < a < x0 < b")
     g.check_derivatives([a, x0, min(b, 10.0 * x0)])
-    bundle = StreamBundle(seed, np.arange(int(n_paths), dtype=np.uint64))
-    out = _run_block(model, cfg, x0, a, b, bundle, horizon=t,
-                     g=g, quad_tol=quad_tol)
+    n = int(n_paths)
+    lg_integral = np.zeros(n)
+
+    def integrate(lanes, x_left, _x, _t, dt):
+        lg_integral[lanes] += generator_values(model, g, x_left, quad_tol) * dt
+
+    out = _run_block(model, cfg, x0, a, b,
+                     StreamBundle(seed, np.arange(n, dtype=np.uint64)),
+                     horizon=t, on_step=integrate)
     g_final = np.asarray(g.g(out["x"]), dtype=float)
     if not np.all(np.isfinite(g_final)):
         raise FloatingPointError(
             "test function not finite at a stopped state; tighten (a, b)")
-    residuals = g_final - float(g.g(x0)) - out["lg_integral"]
+    residuals = g_final - float(g.g(x0)) - lg_integral
     residual = float(residuals.mean())
     stderr = float(residuals.std(ddof=1) / math.sqrt(len(residuals)))
     return {"residual": residual, "stderr": stderr}

@@ -118,6 +118,8 @@ FAILED_CHECKS = [
     ("sim", "floor_zero", "-1", ">= 0"),
     ("sim", "eps_rule", "proportional", "relative"),
     ("mc", "threads", "0", ">= 1"),
+    ("mc", "n_paths", "0", ">= 100"),
+    ("mc", "n_paths", "99", ">= 100"),
 ]
 
 
@@ -129,6 +131,25 @@ def test_parse_config_failed_check_names_its_key(section, key, value, word):
     assert (exc.value.section, exc.value.key) == (section, key)
     assert str(exc.value).startswith(f"[{section}] {key}: {key}")
     assert word in str(exc.value)
+
+
+# a pair list that does not parse: (section, key, value, message)
+BAD_PAIRS = [
+    ("model.a1", "knots", "0.1:1 2", "expected u:value pairs, got '2'"),
+    ("model.a1", "knots", "0.1:x", "not a number: 'x'"),
+    ("model.nu", "atoms", "8/0.5", "expected z:weight pairs, got '8/0.5'"),
+    ("model.nu", "atoms", "8:w", "not a number: 'w'"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", BAD_PAIRS)
+def test_parse_config_pair_lists_name_their_key(section, key, value, message):
+    kind = "type = tabulated\n" if key == "knots" else ""
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(GBM_CONFIG.split("[model.a1]")[0]
+                          + f"[{section}]\n{kind}{key} = {value}\n")
+    assert (exc.value.section, exc.value.key) == (section, key)
+    assert str(exc.value) == f"[{section}] {key}: {message}"
 
 
 def test_parse_config_reads_percent_literally():
@@ -403,6 +424,19 @@ def test_cli_sweep_names_each_failed_row_on_stderr(tmp_path, capsys):
             rows = json.loads(out.read_text())["results"]
             p_hats = [float(row["p_hat"]) for row in rows]
         assert p_hats[0] != p_hats[0] and 0.0 <= p_hats[1] <= 1.0
+
+
+def test_cli_sweep_rejects_too_few_paths(tmp_path, capsys):
+    # below 100 paths no row can be estimated: the run file is refused
+    # before any row is written
+    cfg = write(tmp_path, "gbm.ini",
+                GBM_CONFIG.replace("n_paths = 400", "n_paths = 99"))
+    grid = write(tmp_path, "grid.csv", "r0,r1\n1.0,2.0\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--grid", grid, "--format", "csv",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [mc] n_paths: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("header, body, key, message", [

@@ -180,11 +180,13 @@ def test_sweep_phase_diagram_predictions():
         grid.append(dict(r0=r1 - 1.0, r1=r1))
     rows = sweep(template, grid, SimConfig(dt=1e-2, eps_cut=1e-4,
                                            horizon_t=2.0),
-                 n_paths=0, seed=7, skip_simulation=True)
+                 n_paths=0, seed=7)
     preds = [r.predicted for r in rows]
     assert preds == ["stays_infinite", "stays_infinite",
                      "comes_down_from_infinity", "comes_down_from_infinity"]
     assert [r.index for r in rows] == [0, 1, 2, 3]
+    # no estimate runs on 0 paths; each row keeps its prediction
+    assert all(r.estimate is None and "100 paths" in r.error for r in rows)
 
 
 def test_sweep_invalid_point_flagged_not_fatal():

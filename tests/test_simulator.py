@@ -40,14 +40,14 @@ def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,
 C15 = StableMeasure(1.5).c_alpha()
 
 
-def test_stable_step_params_closed_form():
+def test_cutoff_terms_closed_form():
     lam, m, s2 = _cutoff_terms(1.5, C15, 0.01, None)
     assert lam == pytest.approx(282.0948, rel=1e-6)
     assert m == pytest.approx(8.462844, rel=1e-6)
     assert s2 == pytest.approx(0.08462844, rel=1e-6)
 
 
-def test_stable_step_params_vanishing_tail():
+def test_cutoff_terms_vanishing_tail():
     # both tail constants decay to zero as the cutoff grows
     (l0, m0, _), (l1, m1, _), (l2, m2, _) = (
         _cutoff_terms(1.5, C15, eps, None) for eps in (1e2, 1e6, 1e10))
@@ -56,7 +56,7 @@ def test_stable_step_params_vanishing_tail():
     assert l2 < 1e-14 and m2 < 1e-4
 
 
-def test_stable_step_params_pareto_mean_identity():
+def test_cutoff_terms_pareto_mean_identity():
     # lam * E[jump | jump > eps] = lam * (alpha eps / (alpha-1)) = m
     for alpha in (1.2, 1.5, 1.9):
         c = StableMeasure(alpha).c_alpha()
@@ -66,7 +66,7 @@ def test_stable_step_params_pareto_mean_identity():
                 pytest.approx(m, rel=1e-12)
 
 
-def test_stable_step_params_truncated_support():
+def test_cutoff_terms_truncated_support():
     full = _cutoff_terms(1.5, C15, 0.01, None)
     trunc = _cutoff_terms(1.5, C15, 0.01, 10.0)
     assert trunc[0] < full[0]
@@ -185,7 +185,7 @@ def test_steps_near_a_far_cap_neither_stall_nor_explode():
     assert abs(out["capped"].mean() - p_cap) <= 4.0 * se
 
 
-def test_simulate_until_drift_only_upward():
+def test_block_run_drift_only_upward():
     m = make_model(b0=1.0, r0=1.0)  # dx = x dt: x(t) = e^t
     cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=3.0)
     out = _run_block(m, cfg, x0=10.0, a=5.0, b=100.0,
@@ -335,8 +335,9 @@ def test_martingale_residual_log_on_critical_diffusion():
 
 @pytest.mark.slow
 def test_martingale_residual_log_on_jump_critical():
-    # relative cutoff at 20% keeps the per-step jump budget small without
-    # adaptive stepping, so the per-step generator quadratures stay cheap
+    # full support: each step takes one exact stable draw, so eps_cut and
+    # eps_rule are ignored; the generator's jump quadrature runs at every
+    # state of every step, which quad_tol = 1e-7 keeps cheap
     m = make_model(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5, alpha=1.5)
     cfg = SimConfig(dt=5e-3, eps_cut=0.2, horizon_t=1.0, eps_rule="relative")
     out = martingale_residual(m, cfg, ln_test_function(), x0=10.0, t=0.3,
@@ -391,24 +392,36 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
             lane.update({k: tv for k, v in events.items() if v})
             lane.update(absorbed=absorbed, capped=capped, unfinished=False)
             break
-    lane.update(x=x[0], t=t[0], lg_integral=lg_integral[0])
+    lane.update(x=x[0], t=t[0])
+    if g is not None:
+        lane.update(lg_integral=lg_integral[0])
     return lane, int(rng.counters()[0]), steps
 
 
-def _assert_lanes_match_single_runs(m, cfg, x0, a, b, n, seed, **kwargs):
+def _assert_lanes_match_single_runs(m, cfg, x0, a, b, n, seed, horizon=None,
+                                    g=None):
     """Every lane of a block run, its final stream counter included,
-    equals the reference loop on its own stream; returns the block and
-    the lanes' step counts."""
+    equals the reference loop on its own stream; with g, so does the
+    generator integral that a step callback adds up at each step's left
+    endpoint.  Returns the block and the lanes' step counts."""
     bundle = StreamBundle(seed, np.arange(n, dtype=np.uint64))
-    block = _run_block(m, cfg, x0, a, b, bundle, **kwargs)
+    lg_integral = np.zeros(n)
+
+    def integrate(lanes, x_left, x, t, dt):
+        lg_integral[lanes] += generator_values(m, g, x_left, 1e-8) * dt
+
+    block = _run_block(m, cfg, x0, a, b, bundle, horizon=horizon,
+                       on_step=None if g is None else integrate)
+    block["lg_integral"] = lg_integral
     counters = bundle.counters()
     steps = []
     for i in range(n):
-        lane, counter, k = _reference_lane(m, cfg, x0, a, b, seed, i, **kwargs)
+        lane, counter, k = _reference_lane(m, cfg, x0, a, b, seed, i,
+                                           horizon=horizon, g=g)
+        # every output of the reference lane is compared, none skipped
         for key, value in lane.items():
-            if key in block:
-                np.testing.assert_array_equal(block[key][i], value,
-                                              err_msg=f"lane {i} {key}")
+            np.testing.assert_array_equal(block[key][i], value,
+                                          err_msg=f"lane {i} {key}")
         assert counters[i] == counter > 0
         steps.append(k)
     # the live set shrinks as lanes finish: each lane steps only while live
@@ -494,6 +507,32 @@ def test_ragged_lanes_equal_single_paths_with_generator_integral():
         m, cfg, 3.0, 1.0, 10.0, 16, 21, horizon=1.0, g=ln_test_function())
     assert len(set(steps)) >= 3
     assert np.all(block["lg_integral"] != 0.0)
+
+
+def test_step_callback_sees_every_lane_step():
+    # a ragged adaptive block: the callback runs once per iteration on the
+    # lanes live in it, each step starts where the lane's last one ended,
+    # and a lane's dts add up to its final t bit for bit
+    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True)
+    n, x0 = 12, 1e6
+    t_sum = np.zeros(n)
+    x_last = np.full(n, x0)
+    live = []
+
+    def on_step(lanes, x_left, x, t, dt):
+        live.append(lanes.size)
+        np.testing.assert_array_equal(x_left, x_last[lanes])
+        x_last[lanes] = x
+        t_sum[lanes] += dt
+
+    out = _run_block(m, cfg, x0, 10.0, np.inf,
+                     StreamBundle(7, np.arange(n, dtype=np.uint64)),
+                     on_step=on_step)
+    assert len(set(live)) >= 6
+    np.testing.assert_array_equal(t_sum, out["t"])
+    assert len(live) == out["iterations"]
+    assert sum(live) == out["lane_steps"]
 
 
 def test_engine_counts_steps_and_lane_steps():
