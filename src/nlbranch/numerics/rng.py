@@ -31,11 +31,17 @@ _POISSON_PIECE = 500.0
 _POISSON_SEARCH_SD = 40.0
 
 
-def _mix(z):
-    """splitmix64 finalizer: a high-quality 64-bit avalanche permutation."""
-    z = (z ^ (z >> _U64(30))) * _M1
-    z = (z ^ (z >> _U64(27))) * _M2
-    return z ^ (z >> _U64(31))
+def _mix(z, tmp=None):
+    """splitmix64 finalizer, a high-quality 64-bit avalanche permutation,
+    in place on ``z`` with ``tmp`` (same shape; default a new one) as
+    scratch."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        if mult is not None:
+            z *= mult
+    return z
 
 
 def _derive_keys(seed, stream_ids):
@@ -48,15 +54,25 @@ def _derive_keys(seed, stream_ids):
     return k1, k2
 
 
-def _raw(k1, k2, ctr):
-    return _mix(k1 ^ _mix(ctr * _GOLD + k2))
+def _raw(k1, k2, ctr, tmp):
+    """The words at counters ``ctr``, hashed in place in ``ctr`` with
+    ``tmp`` as scratch; the keys broadcast against the counters."""
+    ctr *= _GOLD
+    ctr += k2
+    _mix(ctr, tmp)
+    ctr ^= k1
+    return _mix(ctr, tmp)
 
 
-def _to_unit(word):
-    # 53-bit mantissa in the open interval (0, 1); the top value
+def _to_unit(word, out):
+    # 53-bit mantissa in the open interval (0, 1), written to the float64
+    # array ``out`` (``word`` is shifted in place); the top value
     # 1 - 2^-54 rounds to 1.0, so it is clamped to the largest float below 1
-    u = (word >> _U64(11)).astype(np.float64) * (0.5 ** 53) + 0.5 ** 54
-    return np.minimum(u, 1.0 - 0.5 ** 53)
+    word >>= _U64(11)
+    out[...] = word
+    out *= 0.5 ** 53
+    out += 0.5 ** 54
+    return np.minimum(out, 1.0 - 0.5 ** 53, out=out)
 
 
 class StreamBundle:
@@ -111,16 +127,26 @@ class StreamBundle:
         idx = slice(None) if idx is None else idx
         self._ctr[idx] += np.asarray(amounts, dtype=np.uint64)
 
+    def _words(self, offsets, idx):
+        # a fresh counter array, hashed in place; the uniforms land in
+        # the scratch array
+        ctr = self._ctr[idx] + offsets
+        tmp = np.empty_like(ctr)
+        return _to_unit(_raw(self._k1[idx], self._k2[idx], ctr, tmp),
+                        tmp.view(np.float64))
+
     def uniforms_at(self, offsets, idx=None):
-        """Uniforms at counter + offset for the selected lanes; no advance."""
+        """Uniforms at counter + offset for the selected lanes; no advance.
+
+        ``offsets`` broadcast against the lanes: offsets of shape
+        (..., 1) give an array of shape (..., lanes)."""
         idx = slice(None) if idx is None else idx
-        ctr = self._ctr[idx] + np.asarray(offsets, dtype=np.uint64)
-        return _to_unit(_raw(self._k1[idx], self._k2[idx], ctr))
+        return self._words(np.asarray(offsets, dtype=np.uint64), idx)
 
     def uniforms(self, idx=None):
         """One uniform in (0,1) per selected lane; advances counters."""
         idx = slice(None) if idx is None else idx
-        u = _to_unit(_raw(self._k1[idx], self._k2[idx], self._ctr[idx]))
+        u = self._words(_U64(0), idx)
         self._ctr[idx] += _U64(1)
         return u
 

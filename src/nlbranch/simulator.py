@@ -45,13 +45,17 @@ consumes random stream i regardless of scheduling, so results are
 bit-identical for any thread count or block size.  A block steps only its
 live lanes, held contiguous with their streams; lanes that finish leave
 the live set on the iteration they finish, so each iteration costs what
-its live lanes cost, not what the block does.
+its live lanes cost, not what the block does.  Few live lanes draw each
+step's fixed words (N1, then the stable pair or N2) up to 64 steps ahead
+in one hash pass; each is still the word at its lane's counter.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .criteria import TestFunction, generator_values
 from .model import PowerLaw, ValidatedModel, ValidationError
@@ -77,6 +81,12 @@ _JUMPS_PER_STEP = 0.01
 # their steps moves y by a resolvable amount, so the lanes they slow
 # still finish, however close the cap.
 _DT_FLOOR = 1e-15
+
+# draw-ahead depth when no step draws a Poisson count: k = min(64, 4096
+# // live lanes) steps, so each (k, lanes) slot stays in cache while a
+# few live lanes pay one hash pass per 64 steps
+_AHEAD_STEPS = 64
+_AHEAD_BUDGET = 4096
 
 # exponents (r - k) y are clamped here before exp, so no scaled rate
 # overflows even past the cap or near zero
@@ -110,7 +120,10 @@ class SimConfig:
                 ("eps_cut", not self.eps_cut > 0.0, "must be positive"),
                 ("horizon_t", not self.horizon_t > 0.0, "must be positive"),
                 ("cap_b", not self.cap_b > 0.0, "must be positive"),
-                ("floor_zero", self.floor_zero < 0.0, "must be >= 0"),
+                ("floor_zero", not self.floor_zero >= 0.0, "must be >= 0"),
+                ("floor_zero", not self.floor_zero < self.cap_b,
+                 "must be below cap_b"),
+                ("step_budget", not self.step_budget >= 1, "must be >= 1"),
                 ("eps_rule", self.eps_rule not in ("absolute", "relative"),
                  "must be 'absolute' or 'relative'")):
             if failed:
@@ -152,6 +165,17 @@ def _stable_unit(alpha, u1, u2):
     return (-np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)
             * (np.sin((alpha - 1.0) * w) / -np.log(u2))
             ** ((1.0 - alpha) / alpha))
+
+
+@functools.cache
+def _ahead_offsets(w, k):
+    """Counter offsets of k steps of w words, shape (w, k, 1): word s of
+    step j at j * w + s, so that each word's (k, lanes) draws are
+    contiguous.  Read-only, as every caller shares it."""
+    offsets = np.arange(w, dtype=np.uint64)[:, None, None] \
+        + w * np.arange(k, dtype=np.uint64)[:, None]
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _jump_sums(bundle, counts, idx, size):
@@ -240,6 +264,12 @@ class _Engine:
             self.nu_mass = 0.0
         # one exact stable draw per step on full support
         self.stable = self.a2_active and model.u_max is None
+        # the words every step of every lane draws, in stream order,
+        # before any Poisson count; a count's words vary step to step, so
+        # a step that draws one is never drawn ahead
+        self.prefix = ("n1",) * self.a1_active + (
+            ("u1", "u2") if self.stable else ("n2",) * self.a2_active)
+        self.poisson = self.a2_active and not self.stable or self.nu_active
         self.log_levels = np.log([v for v in (*levels, cfg.cap_b,
                                               cfg.floor_zero)
                                   if 0.0 < v < np.inf])
@@ -276,9 +306,24 @@ class _Engine:
         k = np.searchsorted(self.nu_cum, u)
         return self.nu_z[np.minimum(k, self.nu_z.size - 1)]
 
-    def advance(self, x, t, bundle, idx):
+    def draw_ahead(self, bundle, k, idx=None):
+        """The prefix draws of the selected lanes' next k steps from one
+        ``uniforms_at`` pass, shape (draws, k, lanes): N1 first, then the
+        stable unit S or N2.  Step j reads the words k steps one at a
+        time would read."""
+        u = bundle.uniforms_at(_ahead_offsets(len(self.prefix), k), idx)
+        if self.stable:
+            u[-2] = _stable_unit(self.alpha, u[-2], u[-1])
+            u = u[:-1]
+        normals = u[:-1] if self.stable else u
+        ndtri(normals, out=normals)
+        return u
+
+    def advance(self, x, t, bundle, idx, row=None):
         """One step for the lanes ``idx`` of ``bundle`` (None: all of its
-        lanes, in order); returns (x', t', dt, hit_horizon)."""
+        lanes, in order); returns (x', t', dt, hit_horizon).  ``row`` is
+        the step's prefix draws, ``draw_ahead(...)[:, j]`` (None: drawn
+        here); either way the counters then move past the prefix."""
         cfg = self.cfg
         spec = self.model.spec
         scaled = _Scaled(x)
@@ -316,16 +361,14 @@ class _Engine:
         hit_horizon = dt >= remaining
         dt = np.where(hit_horizon, remaining, dt)
 
+        if row is None:
+            row = self.draw_ahead(bundle, 1, idx)[:, 0]
+        bundle.advance(len(self.prefix), idx)
         rel = mu * dt
-        if self.a1_active:
-            n1 = bundle.normals(idx)
         if self.stable:
-            s = _stable_unit(self.alpha, bundle.uniforms(idx),
-                             bundle.uniforms(idx))
-            rel = rel + (stable * dt) ** (1.0 / self.alpha) * s
+            rel = rel + (stable * dt) ** (1.0 / self.alpha) * row[-1]
         elif self.a2_active:
-            n2 = bundle.normals(idx)
-            rel = rel - comp * dt + np.sqrt(var_jump * dt) * n2
+            rel = rel - comp * dt + np.sqrt(var_jump * dt) * row[-1]
             n_big = bundle.poissons(rate_big * dt, idx)
             rel = rel + _jump_sums(
                 bundle, n_big, idx,
@@ -339,15 +382,17 @@ class _Engine:
         with np.errstate(over="ignore"):
             if self.a1_active:
                 v = var * dt
-                grow = grow / (1.0 + 0.5 * v) * np.exp(np.sqrt(v) * n1)
+                grow = grow / (1.0 + 0.5 * v) * np.exp(np.sqrt(v) * row[0])
             return x * grow, t + dt, dt, hit_horizon
 
 
 def _check_start(cfg, x0, t=None, t_name="t"):
-    """Reject a start x0 outside (0, inf) and a horizon t outside
+    """Reject a start x0 outside (floor_zero, cap_b), where every path
+    would end before its first step, and a horizon t outside
     (0, horizon_t]; nan fails both."""
-    if not 0.0 < x0 < math.inf:
-        raise ValueError(f"x0 must be finite and positive, got {x0!r}")
+    if not cfg.floor_zero < x0 < cfg.cap_b:
+        raise ValueError(f"x0 must be finite and in (floor_zero, cap_b) = "
+                         f"({cfg.floor_zero!r}, {cfg.cap_b!r}), got {x0!r}")
     if t is not None and not 0.0 < t <= cfg.horizon_t:
         raise ValueError(f"{t_name} must be in (0, horizon_t = "
                          f"{cfg.horizon_t!r}], got {t!r}")
@@ -362,8 +407,9 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     freezes at its first event: on an iteration where some lanes finish,
     their event times, flags, state and stream counters are written back
     to the caller's arrays and ``bundle`` once, and the live set is
-    compacted.  Lanes still live when ``step_budget`` runs out are written
-    back the same way.
+    compacted, with the unread rows of the live lanes' drawn-ahead prefix
+    (``_Engine.draw_ahead``, refilled when it runs out).  Lanes still live
+    when ``step_budget`` runs out are written back the same way.
 
     ``on_step(lanes, x_left, x, t, dt)``, when given, is called after
     every step and before any finished lane leaves the live set:
@@ -400,12 +446,19 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     below = (lambda v: v < a) if a > floor else (lambda v: v <= floor)
     above = (lambda v: v > b) if b < cap else (lambda v: v >= cap)
     iterations = lane_steps = 0
+    row = depth = 0   # the next unread row of the live lanes' prefix
     while lanes.size and iterations < cfg.step_budget:
         iterations += 1
         lane_steps += lanes.size
+        if row == depth:
+            depth = 1 if eng.poisson else min(
+                _AHEAD_STEPS, max(1, _AHEAD_BUDGET // lanes.size))
+            ahead, row = eng.draw_ahead(live, depth), 0
         x_left = xl
         # idx positional: perfbench's trace hook reads it as args[4]
-        xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None)
+        xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None,
+                                              ahead[:, row])
+        row += 1
         if on_step is not None:
             on_step(lanes, x_left, xl, tl, dt)
         done = below(xl) | above(xl) | hit_horizon
@@ -431,6 +484,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         keep = ~done
         lanes, xl, tl = lanes[keep], xl[keep], tl[keep]
         live = live.take(keep)
+        if row < depth:
+            ahead, row, depth = ahead[:, row:, keep], 0, depth - row
 
     # lanes the step budget cut off
     unfinished[lanes] = True

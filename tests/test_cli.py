@@ -116,6 +116,9 @@ FAILED_CHECKS = [
     ("sim", "horizon_t", "0", "positive"),
     ("sim", "cap_b", "-1e10", "positive"),
     ("sim", "floor_zero", "-1", ">= 0"),
+    ("sim", "floor_zero", "nan", ">= 0"),
+    ("sim", "floor_zero", "1e300", "below cap_b"),
+    ("sim", "step_budget", "0", ">= 1"),
     ("sim", "eps_rule", "proportional", "relative"),
     ("mc", "threads", "0", ">= 1"),
     ("mc", "n_paths", "0", ">= 100"),
@@ -327,6 +330,7 @@ BAD_QUERIES = [
     ("simulate", ["--x0", "0"], "x0"),
     ("simulate", ["--x0", "nan"], "x0"),
     ("simulate", ["--x0", "inf"], "x0"),
+    ("simulate", ["--x0", "1e300"], "x0"),
     ("passage", ["--x0", "inf", "--a", "1", "--t", "1"], "x0"),
     ("passage", ["--x0", "10", "--a", "1", "--t", "0"], "t"),
     ("passage", ["--x0", "10", "--a", "1", "--t", "-1"], "t"),

@@ -98,16 +98,21 @@ def test_passage_prob_preconditions():
 
 
 def test_runs_reject_a_start_or_horizon_no_path_runs_from():
-    # x0 must be finite and positive, and t in (0, horizon_t]; nan fails
-    # both, and each error names its argument
+    # x0 must be finite and strictly between the zero floor and the cap,
+    # and t in (0, horizon_t]; nan fails both, and each error names its
+    # argument
     m = make_model()
     cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0)
-    for x0 in (-5.0, 0.0, math.nan, math.inf):
+    floored = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0,
+                        floor_zero=2.0, cap_b=1e3)
+    starts = [(cfg, x0) for x0 in (-5.0, 0.0, math.nan, math.inf)]
+    starts += [(floored, x0) for x0 in (1.5, 2.0, 1e3, 5e3)]
+    for run_cfg, x0 in starts:
         with pytest.raises(ValueError, match="^x0 must be"):
-            estimate_passage_prob(m, cfg, x0=x0, a=1e-3, t=1.0, n_paths=200,
-                                  seed=0)
+            estimate_passage_prob(m, run_cfg, x0=x0, a=1e-3, t=1.0,
+                                  n_paths=200, seed=0)
         with pytest.raises(ValueError, match="^x0 must be"):
-            extinction_explosion_rates(m, cfg, x0=x0, horizon=1.0,
+            extinction_explosion_rates(m, run_cfg, x0=x0, horizon=1.0,
                                        n_paths=200, seed=0)
     for t in (0.0, -1.0, math.nan, 5.0):
         with pytest.raises(ValueError, match="^t must be"):

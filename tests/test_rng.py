@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from nlbranch.numerics import StreamBundle
-from nlbranch.numerics.rng import _to_unit
+from nlbranch.numerics.rng import _raw, _to_unit
 
 
 def one_lane(seed, stream_id=0, counter=0):
@@ -62,6 +62,41 @@ def test_uniforms_at_fixed_counters_match_their_digest():
         "c0da00d2c5be43dc03a8503f450d9d41b2e91883cb329fc911a7292a33e700bf")
 
 
+def test_uniforms_at_a_column_of_offsets_equals_successive_draws():
+    # offsets of shape (k, 1) broadcast against the lanes: row j is every
+    # lane's word at its counter + j, the j-th of k one-at-a-time draws,
+    # also for a lane whose k words end just below 2^63
+    k, lanes = 64, np.arange(5)
+    bundle = StreamBundle(17, lanes.astype(np.uint64))
+    bundle.set_counter(2 ** 63 - k, np.array([1]))
+    bundle.set_counter(12345, np.array([3]))
+    ahead = bundle.uniforms_at(np.arange(k)[:, None])
+    assert ahead.shape == (k, lanes.size)
+    assert np.array_equal(ahead, [bundle.uniforms() for _ in range(k)])
+    assert bundle.counters()[1] == 2 ** 63
+
+
+def test_in_place_hash_equals_the_allocating_expression():
+    # the splitmix64 hash and unit transform written as one allocating
+    # expression per operation, on 10^5 random keys and counters
+    u64 = np.uint64
+
+    def mix(z):
+        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+        return z ^ (z >> u64(31))
+
+    k1, k2, ctr = np.random.default_rng(8).integers(
+        0, 2 ** 64, size=(3, 10 ** 5), dtype=np.uint64)
+    word = mix(k1 ^ mix(ctr * u64(0x9E3779B97F4A7C15) + k2))
+    unit = np.minimum((word >> u64(11)).astype(np.float64) * 0.5 ** 53
+                      + 0.5 ** 54, 1.0 - 0.5 ** 53)
+    fresh = ctr.copy()
+    scratch = np.empty_like(fresh)
+    assert np.array_equal(_raw(k1, k2, fresh, scratch), word)
+    assert np.array_equal(_to_unit(fresh, scratch.view(np.float64)), unit)
+
+
 def test_set_counter_takes_counters_below_two_to_the_63():
     bundle = StreamBundle(3, np.arange(2, dtype=np.uint64))
     bundle.set_counter(2 ** 63 - 1, np.array([1]))
@@ -108,7 +143,8 @@ def test_uniform_range_and_equidistribution_smoke():
     assert np.all(draws > 0.0) and np.all(draws < 1.0)
     # the two top words would round up to 1.0; the word below keeps its value
     top = _to_unit(np.array([0xFFFFFFFFFFFFF800, 0xFFFFFFFFFFFFFFFF,
-                             0xFFFFFFFFFFFFF7FF], dtype=np.uint64))
+                             0xFFFFFFFFFFFFF7FF], dtype=np.uint64),
+                   np.empty(3))
     assert list(top) == [1.0 - 2.0 ** -53] * 2 + [1.0 - 2.0 ** -52]
     # per-stream first two moments
     assert np.allclose(draws.mean(axis=0), 0.5, atol=0.01)

@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 
 from nlbranch.criteria import generator_values, linear_test_function, ln_test_function
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
+from nlbranch import simulator
 from nlbranch.numerics import StreamBundle
 from nlbranch.simulator import (
     SimConfig,
@@ -507,6 +508,83 @@ def test_ragged_lanes_equal_single_paths_with_generator_integral():
         m, cfg, 3.0, 1.0, 10.0, 16, 21, horizon=1.0, g=ln_test_function())
     assert len(set(steps)) >= 3
     assert np.all(block["lg_integral"] != 0.0)
+
+
+def _run_logged(m, cfg, x0, a, b, bundle, monkeypatch):
+    """A block run, with the log of its draw-ahead refills (as
+    ("draw", depth)) and of its steps (as the live lane count) in order."""
+    log = []
+    draw_ahead = _Engine.draw_ahead
+
+    def logged_draw(self, bundle, k, idx=None):
+        log.append(("draw", k))
+        return draw_ahead(self, bundle, k, idx)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "draw_ahead", logged_draw)
+        out = _run_block(m, cfg, x0, a, b, bundle,
+                         on_step=lambda lanes, *_: log.append(lanes.size))
+    return out, log
+
+
+def _assert_blocks_match(m, cfg, x0, a, b, n, size, seed, monkeypatch):
+    """A block of n lanes, final stream counters included, equals bit for
+    bit the same streams run as blocks of ``size`` lanes, and the block
+    run again with a refill before every step.  Returns the n-lane
+    block's refill depths and how many of its steps ran on a buffer
+    compacted after lanes left it."""
+    bundle = StreamBundle(seed, np.arange(n, dtype=np.uint64))
+    block, log = _run_logged(m, cfg, x0, a, b, bundle, monkeypatch)
+    lane_keys = [key for key, value in block.items() if np.ndim(value)]
+    parts = []
+    for lo in range(0, n, size):
+        part = StreamBundle(seed, np.arange(lo, lo + size, dtype=np.uint64))
+        parts.append((lo, _run_block(m, cfg, x0, a, b, part),
+                      part.counters()))
+    every = StreamBundle(seed, np.arange(n, dtype=np.uint64))
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_AHEAD_BUDGET", 1)
+        every_step, every_log = _run_logged(m, cfg, x0, a, b, every,
+                                            monkeypatch)
+    assert every_log[::2] == [("draw", 1)] * (len(every_log) // 2)
+    parts.append((0, every_step, every.counters()))
+    for lo, part, counters in parts:
+        lanes = slice(lo, lo + counters.size)
+        for key in lane_keys:
+            np.testing.assert_array_equal(block[key][lanes], part[key],
+                                          err_msg=f"lanes from {lo}: {key}")
+        np.testing.assert_array_equal(bundle.counters()[lanes], counters)
+    depths, mid = [], 0
+    for prev, event in zip([None] + log, log):
+        if isinstance(event, tuple):
+            depths.append(event[1])
+        elif isinstance(prev, int) and event < prev:
+            mid += 1
+    return depths, mid
+
+
+def test_draw_ahead_depth_changes_no_bit_c6a(monkeypatch):
+    # the c6a run: 5,000 lanes draw one step ahead while more than 2,048
+    # are live and 64 steps ahead in their tail, lanes leave with rows of
+    # their buffer unread; 100-lane blocks start 40 steps ahead
+    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True,
+                    cap_b=1e12)
+    depths, mid = _assert_blocks_match(m, cfg, 1e6, 10.0, np.inf, 5000,
+                                       100, 3, monkeypatch)
+    assert depths[0] == 1 and depths[-1] == 64
+    assert mid > 0
+
+
+def test_draw_ahead_depth_changes_no_bit_readme_model(monkeypatch):
+    # the README model, a stable pair per step: 256 lanes draw 16 steps
+    # ahead, one-lane blocks 64
+    m = make_model(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5)
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=0.2)
+    depths, mid = _assert_blocks_match(m, cfg, 10.0, 9.0, 12.0, 256, 1, 5,
+                                       monkeypatch)
+    assert depths[0] == 16 and max(depths) == 64
+    assert mid > 0
 
 
 def test_step_callback_sees_every_lane_step():
