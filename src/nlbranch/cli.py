@@ -9,6 +9,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -71,7 +72,24 @@ def _write(text: str, out_path: Optional[str]) -> None:
 
 
 def _emit(report: Dict, out_path: Optional[str]) -> None:
-    _write(json.dumps(report, indent=2) + "\n", out_path)
+    """Write ``report`` as strict (RFC 8259) JSON: a non-finite float,
+    which JSON cannot carry, is written as null."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite(report), indent=2)
+    _write(text + "\n", out_path)
+
+
+def _finite(obj):
+    """``obj`` with each non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _resolve_threads(args, rc: RunConfig) -> int:

@@ -66,6 +66,8 @@ _SERIES_TERMS = 6
 # the states at which the classifier's evidence prints phi
 _SMALL_U_GRID = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _LARGE_U_GRID = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+_PHI_GRID = np.array(_SMALL_U_GRID + _LARGE_U_GRID)
+_PHI_GRID.flags.writeable = False
 
 
 class Verdict(str, Enum):
@@ -252,22 +254,35 @@ def phi(model: ValidatedModel, u: float) -> float:
 
 
 def _phi_values(model: ValidatedModel, us) -> List[Tuple[float, float]]:
-    """``phi_with_scale`` at each u: each rate is called once on the grid,
-    and every term has a closed form."""
+    """``phi_with_scale`` at each u from ``_phi_terms``: each nonzero rate
+    is called once on the grid, and every term has a closed form."""
     u = np.array(us, dtype=float)
     if not np.all(u > 0.0):
         raise ValueError("u must be positive")
-    a2 = model.a2(u)
-    jumps = np.flatnonzero(a2 != 0.0)
-    t_jump = np.zeros_like(u)
-    t_jump[jumps] = a2[jumps] * _quadratic_jump_moments(model, u[jumps])
-    t_drift = -model.a0(u) / u
-    t_diff = 0.5 * model.a1(u) / (u * u)
-    t_atoms = 0.0 if model.nu_empty else -model.a3(u) * _atom_sums(
-        model, np.log1p(model.nu_z / u[:, None]))
-    value = t_drift + t_diff + t_jump + t_atoms
-    scale = abs(t_drift) + abs(t_diff) + abs(t_jump) + abs(t_atoms)
-    return list(zip(value.tolist(), scale.tolist()))
+    t0, t1, t2, t3 = _phi_terms(model, u)
+    return list(zip((t0 + t1 + t2 + t3).tolist(),
+                    (abs(t0) + abs(t1) + abs(t2) + abs(t3)).tolist()))
+
+
+def _phi_terms(model: ValidatedModel, u: np.ndarray):
+    """phi's drift, diffusion, jump and atom terms at the states u; a zero
+    rate is not called and adds the scalar 0.0 (the drift stays an array)."""
+    spec = model.spec
+    t_drift = np.zeros_like(u) if spec.a0.is_zero else -model.a0(u) / u
+    t_diff = 0.0 if spec.a1.is_zero else 0.5 * model.a1(u) / (u * u)
+    t_jump = t_atoms = 0.0
+    if not spec.a2.is_zero:
+        a2 = model.a2(u)
+        if np.count_nonzero(a2) == a2.size:
+            t_jump = a2 * _quadratic_jump_moments(model, u)
+        else:   # the moment only where a2 is nonzero
+            on = a2 != 0.0
+            t_jump = np.zeros_like(u)
+            t_jump[on] = a2[on] * _quadratic_jump_moments(model, u[on])
+    if not (model.nu_empty or spec.a3.is_zero):
+        t_atoms = -model.a3(u) * _atom_sums(
+            model, np.log1p(model.nu_z / u[:, None]))
+    return t_drift, t_diff, t_jump, t_atoms
 
 
 def _atom_sums(model: ValidatedModel, values):
@@ -663,8 +678,9 @@ def classify(model: ValidatedModel) -> BoundaryReport:
     Every model is decided exactly, with no quadrature: each rate is a
     short sum of powers near zero and near infinity, so the verdicts are
     read from the leading terms of phi's expansions at each end and from
-    the growth order of h_rho.  The evidence prints phi on two fixed
-    grids of small and large states.
+    the growth order of h_rho.  The evidence prints phi's values on two
+    fixed grids of small and large states, each nonzero rate called once
+    on both.
     """
     zero_rates, inf_rates = _rate_ends(model)
     (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, zero_rates,
@@ -694,7 +710,11 @@ def classify(model: ValidatedModel) -> BoundaryReport:
         side, h = (">", "bounded") if sign_inf > 0 else ("<", "superlogarithmic")
         gap = f"the rules leave a gap: phi {side} 0 near infinity with h_rho {h}"
 
-    phi_small, phi_large = _phi_grids(model)
+    # the grid's values only; one that overflows reads inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0, t1, t2, t3 = _phi_terms(model, _PHI_GRID)
+        phis = [[u, v] for u, v in zip(_SMALL_U_GRID + _LARGE_U_GRID,
+                                       (t0 + t1 + t2 + t3).tolist())]
     evidence = {
         "phi_terms": {"near_zero": [list(t) for t in terms_zero],
                       "near_infinity": [list(t) for t in terms_inf]},
@@ -705,14 +725,8 @@ def classify(model: ValidatedModel) -> BoundaryReport:
         "h_superlogarithmic": h_superlog,
         "infinity_gap": gap,
         "rho": None,
-        "phi_small": [[u, v] for u, (v, _) in zip(_SMALL_U_GRID, phi_small)],
-        "phi_large": [[u, v] for u, (v, _) in zip(_LARGE_U_GRID, phi_large)],
+        "phi_small": phis[:len(_SMALL_U_GRID)],
+        "phi_large": phis[len(_SMALL_U_GRID):],
     }
     return BoundaryReport(no_extinction, no_explosion, infinity,
                           "symbolic", evidence)
-
-
-def _phi_grids(model):
-    """``phi_with_scale`` on the small and the large grid, in one call."""
-    phis = _phi_values(model, [*_SMALL_U_GRID, *_LARGE_U_GRID])
-    return phis[:len(_SMALL_U_GRID)], phis[len(_SMALL_U_GRID):]

@@ -42,7 +42,11 @@ MIN_PATHS = 100
 # of at most this many paths takes one thread.  From a few thousand lanes
 # on, per-element work, not per-op numpy overhead, dominates a step: a
 # 20480-lane block costs only 10-15 % less per lane-step than a 4096-lane
-# one
+# one.  A block is not split across threads, since the engine loop holds
+# the interpreter lock between its numpy calls: criterion 6a's run
+# (16,384 adaptive paths) took 1.28-1.43 s as one block, 1.52-1.72 s as
+# two 8,192-lane blocks in series and 2.32-2.79 s as the same two on two
+# threads (four alternations each on a shared 2-core host, p_hat equal)
 _BLOCK = 16384
 
 # engine counters of a block, summed over blocks

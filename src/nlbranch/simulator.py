@@ -37,8 +37,9 @@ cut-support heavy jumps and atoms per step below 0.01.
 
 Barrier crossings are detected at grid points only, which biases passage
 probabilities low: from x0 = 100 to a = 1 by t = 1 with a0 = x^2,
-a1 = 2x^3 and adaptive steps (dt <= 1e-2) it reads 0.591 against the
-exact 0.629, about -11 standard errors at 20k paths.
+a1 = 2x^3 and adaptive steps (dt <= 1e-2) it reads 0.591 against
+0.6259, the exact law of the capped process the simulator runs, -10.2
+standard errors at 20k paths.
 
 The engine advances whole lanes of paths as numpy vectors.  Lane i always
 consumes random stream i regardless of scheduling, so results are

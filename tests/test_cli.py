@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from nlbranch.cli import build_parser, main
+from nlbranch.criteria import classify
 from nlbranch.config import (
     ConfigError,
     config_echo,
@@ -231,6 +233,61 @@ def test_cli_classify_comes_down(tmp_path):
     assert main(["classify", "--config", cfg, "--out", out]) == 0
     rep = json.loads(open(out).read())
     assert rep["results"]["infinity_behavior"] == "comes_down_from_infinity"
+
+
+def _strict_json(text):
+    """RFC 8259 JSON: Infinity, -Infinity and NaN are rejected."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_classify_writes_strict_json_where_phi_overflows(tmp_path):
+    # phi's drift term -2 u^59 overflows at the last three grid states; the
+    # library's evidence keeps -inf there, the report writes null
+    text = """
+[model]
+alpha = 1.5
+
+[model.a0]
+type = powerlaw
+b = 2.0
+r = 60.0
+
+[model.a1]
+type = powerlaw
+b = 1.0
+r = 2.0
+"""
+    cfg = write(tmp_path, "steep.ini", text)
+    out = str(tmp_path / "rep.json")
+    assert main(["classify", "--config", cfg, "--out", out]) == 0
+    ev = _strict_json(open(out).read())["results"]["evidence"]
+    assert [u for u, v in ev["phi_large"] if v is None] == [1e6, 1e7, 1e8]
+    assert all(v is not None for _, v in ev["phi_small"])
+    lib = classify(parse_config_text(text).model).evidence
+    assert [v for _, v in lib["phi_large"][-3:]] == [-math.inf] * 3
+
+
+def test_cli_simulate_writes_strict_json_when_the_path_explodes(tmp_path):
+    # a0 = u^3 from x0 = 10 blows up within 0.1 time units
+    cfg = write(tmp_path, "blowup.ini", """
+[model]
+alpha = 1.5
+
+[model.a0]
+type = powerlaw
+b = 1.0
+r = 3.0
+
+[sim]
+dt = 0.01
+""")
+    out = str(tmp_path / "trace.json")
+    assert main(["simulate", "--config", cfg, "--x0", "10", "--out", out]) == 0
+    trace = _strict_json(open(out).read())["results"]["trace"]
+    assert trace[-1][1] is None
+    assert all(math.isfinite(x) for _, x in trace[:-1])
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlbranch.cli import CRITICAL_FAMILIES
+from nlbranch.config import parse_config_text
 from nlbranch.criteria import (
     BoundaryReport,
     InfinityBehavior,
@@ -534,6 +535,30 @@ def test_classify_cut_support_models():
             r2 == 2.0 and m2 / 2.0 > gamma(alpha)))
 
 
+# the models whose quadrature h_rho is read against classify's growth order
+# (exponent e, log power p): full-support jumps, jumps with diffusion,
+# diffusion alone, cut-support jumps with atoms, steep diffusion, a steep
+# cut-support jump rate
+H_GROWTH_MODELS = [
+    JUMP_CRITICAL, MIXED_CRITICAL, GBM_CRITICAL, CUT_WITH_ATOMS,
+    dict(b0=1.0, r0=2.0, b1=2.0, r1=3.0),
+    dict(b0=gamma(1.9), r0=1.0, b2=1.0, r2=2.4, alpha=1.9, u_max=5.0),
+]
+
+
+@pytest.mark.parametrize("params", H_GROWTH_MODELS)
+def test_h_growth_is_the_order_of_quadrature_h_rho(params):
+    # h_rho / (u^e (ln u)^p) settles to a positive constant: finite and
+    # positive, and within 5 % from u = 1e10 to u = 1e12 (the full-support
+    # jump channel's ratio still drifts like 1/ln u there)
+    model = make_model(**params)
+    e, p = classify(model).evidence["h_growth"]
+    ratios = [h_rho(model, u, 1.0) / (u ** e * math.log(u) ** p)
+              for u in (1e10, 1e12)]
+    assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+    assert abs(ratios[1] / ratios[0] - 1.0) < 0.05
+
+
 def _moment(model, u):
     import nlbranch.criteria as crit
     return crit._quadratic_jump_moments(model, np.asarray(u, dtype=float))
@@ -871,18 +896,49 @@ def _h_values_per_point(model, us, rhos, tol):
     return out
 
 
+# the README's run file: a0 = Gamma(alpha) u, a1 = 0, a2 = u^1.5
+README_RUN = """
+[model]
+alpha = 1.5
+
+[model.a0]
+type = powerlaw
+b = gamma(alpha)
+r = 1.0
+
+[model.a2]
+type = powerlaw
+b = b0/gamma(alpha)
+r = 1.5
+"""
+
+
+def _readme_model():
+    return parse_config_text(README_RUN).model
+
+
 def _grid_models():
+    # the last three have a zero rate whose term the grid skips: a1 (the
+    # README model), a2 (pure diffusion) and a3 (atoms under a zero rate)
     return [make_model(**JUMP_CRITICAL), make_model(**MIXED_CRITICAL),
             _tabulated_jump_model(), _tabulated_jump_cut_model(),
-            make_model(**CUT_WITH_ATOMS), _tab_a2_model()]
+            make_model(**CUT_WITH_ATOMS), _tab_a2_model(), _readme_model(),
+            make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0),
+            make_model(b0=1.0, r0=1.0, b1=0.5, r1=2.0, u_max=2.0,
+                       atoms=[(5.0, 0.3)])]
 
 
 def test_grid_values_equal_per_point_loops():
+    # the grid's values and scales equal a loop over the states, and
+    # classify's evidence equals phi_with_scale's values
     import nlbranch.criteria as crit
     us = [*SMALL_U_GRID, *LARGE_U_GRID]
     h_us, h_rhos = _h_pairs()
     for model in _grid_models():
         assert crit._phi_values(model, us) == _phi_values_per_point(model, us)
+        ev = classify(model).evidence
+        assert [v for _, v in ev["phi_small"] + ev["phi_large"]] \
+            == [phi_with_scale(model, u)[0] for u in us]
         assert [h_rho(model, u, rho, 1e-10) for u, rho in zip(h_us, h_rhos)] \
             == _h_values_per_point(model, h_us, h_rhos, 1e-10)
 
@@ -900,6 +956,10 @@ def test_symbolic_classify_calls_each_rate_once(monkeypatch):
     assert rep.method == "symbolic"
     assert len(calls) <= 4
     assert set(calls) == {len(SMALL_U_GRID) + len(LARGE_U_GRID)}
+    # a zero rate is not called: the README model calls a0 and a2 only
+    calls.clear()
+    classify(_readme_model())
+    assert calls == [len(SMALL_U_GRID) + len(LARGE_U_GRID)] * 2
 
 
 @pytest.mark.parametrize("params", [JUMP_CRITICAL, MIXED_CRITICAL,
