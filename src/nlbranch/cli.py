@@ -164,7 +164,10 @@ def cmd_passage(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     rc = _load(args)
-    ts, xs = trace_path(rc.model, rc.sim, args.x0, rc.seed)
+    ts, xs, unfinished = trace_path(rc.model, rc.sim, args.x0, rc.seed)
+    if unfinished:
+        print(f"[sim] step_budget = {rc.sim.step_budget} cut the path off at "
+              f"t = {float(ts[-1])!r}", file=sys.stderr)
     if rc.output_format == "csv":
         rows = [f"{float(t)!r},{float(x)!r}" for t, x in zip(ts, xs)]
         _write("t,x\n" + "\n".join(rows) + "\n", rc.output_path)

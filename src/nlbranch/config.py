@@ -13,7 +13,6 @@ nothing reads is an error.
 """
 
 import configparser
-import io
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
@@ -32,7 +31,7 @@ from .numerics import gamma
 from .simulator import SimConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
-           "config_echo", "echo_to_ini"]
+           "config_echo"]
 
 
 class ConfigError(ValueError):
@@ -282,8 +281,8 @@ def _describe_model(model: ValidatedModel) -> Dict:
 def config_echo(rc: RunConfig) -> Dict:
     """JSON-ready echo with every coefficient resolved to a number.
 
-    Re-parsing the echo (see ``echo_to_ini``) reproduces the validated
-    model exactly.
+    The echo written back as a run file re-parses to the same validated
+    model and settings.
     """
     def table(section):
         return {key: getattr(rc, name)
@@ -291,43 +290,3 @@ def config_echo(rc: RunConfig) -> Dict:
 
     return {"model": rc.model_params, "sim": asdict(rc.sim), "mc": table("mc"),
             "output": table("output")}
-
-
-def _rate_to_ini(name: str, desc: Dict, out: io.StringIO) -> None:
-    out.write(f"[{name}]\n")
-    if desc["type"] == "powerlaw":
-        out.write("type = powerlaw\n")
-        out.write(f"b = {desc['b']!r}\n")
-        out.write(f"r = {desc['r']!r}\n\n")
-    else:
-        out.write("type = tabulated\n")
-        pairs = " ".join(f"{u!r}:{v!r}" for u, v in desc["knots"])
-        out.write(f"knots = {pairs}\n\n")
-
-
-def _ini_value(val) -> str:
-    if val is None:
-        return ""
-    if isinstance(val, str):
-        return val
-    return repr(val)
-
-
-def echo_to_ini(echo: Dict) -> str:
-    """Serialize a config echo back to INI text that re-parses identically."""
-    out = io.StringIO()
-    m = echo["model"]
-    out.write("[model]\n")
-    out.write(f"alpha = {m['alpha']!r}\n")
-    out.write(f"u_max = {'inf' if m['u_max'] is None else repr(m['u_max'])}\n\n")
-    for name in ("a0", "a1", "a2", "a3"):
-        _rate_to_ini(f"model.{name}", m[name], out)
-    atoms = m["nu"]["atoms"]
-    out.write("[model.nu]\n")
-    out.write("atoms = " + " ".join(f"{z!r}:{w!r}" for z, w in atoms) + "\n\n")
-    for section in _SECTIONS:
-        out.write(f"[{section}]\n")
-        for key, val in echo[section].items():
-            out.write(f"{key} = {_ini_value(val)}\n")
-        out.write("\n")
-    return out.getvalue()

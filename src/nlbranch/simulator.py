@@ -48,7 +48,10 @@ live lanes, held contiguous with their streams; lanes that finish leave
 the live set on the iteration they finish, so each iteration costs what
 its live lanes cost, not what the block does.  Few live lanes draw each
 step's fixed words (N1, then the stable pair or N2) up to 64 steps ahead
-in one hash pass; each is still the word at its lane's counter.
+in one hash pass; each is still the word at its lane's counter.  Under
+scale-free rates (a0 = b0 x, a1 = b1 x^2, a2 = b2 x^alpha on full support,
+no atoms) ln X is a random walk: a fixed step's growth X'/X is a function
+of its draws alone, so such a block steps the whole buffer at once.
 """
 
 import functools
@@ -119,7 +122,8 @@ class SimConfig:
         for name, failed, rule in (
                 ("dt", not self.dt > 0.0, "must be positive"),
                 ("eps_cut", not self.eps_cut > 0.0, "must be positive"),
-                ("horizon_t", not self.horizon_t > 0.0, "must be positive"),
+                ("horizon_t", not 0.0 < self.horizon_t < np.inf,
+                 "must be positive and finite"),
                 ("cap_b", not self.cap_b > 0.0, "must be positive"),
                 ("floor_zero", not self.floor_zero >= 0.0, "must be >= 0"),
                 ("floor_zero", not self.floor_zero < self.cap_b,
@@ -271,6 +275,13 @@ class _Engine:
         self.prefix = ("n1",) * self.a1_active + (
             ("u1", "u2") if self.stable else ("n2",) * self.a2_active)
         self.poisson = self.a2_active and not self.stable or self.nu_active
+        # a0 = b0 x, a1 = b1 x^2 and a2 = b2 x^alpha on full support with
+        # no atoms scale to the scalars b: a step's growth X'/X is then a
+        # function of its draws alone (see step_ahead)
+        rates = [_Scaled(np.ones(1))(f, k) for f, k in (
+            (spec.a0, 1.0), (spec.a1, 2.0), (spec.a2, self.alpha))]
+        self.free_rates = (None if self.poisson or any(map(np.ndim, rates))
+                           else rates)
         self.log_levels = np.log([v for v in (*levels, cfg.cap_b,
                                               cfg.floor_zero)
                                   if 0.0 < v < np.inf])
@@ -365,26 +376,60 @@ class _Engine:
         if row is None:
             row = self.draw_ahead(bundle, 1, idx)[:, 0]
         bundle.advance(len(self.prefix), idx)
+
+        def jumps(rel):
+            if self.a2_active and not self.stable:
+                rel = rel - comp * dt + np.sqrt(var_jump * dt) * row[-1]
+                n_big = bundle.poissons(rate_big * dt, idx)
+                rel = rel + _jump_sums(
+                    bundle, n_big, idx,
+                    lambda u, lanes: self._heavy_jump(eps[lanes], u)) / x
+            if self.nu_active:
+                n_nu = bundle.poissons(rate_nu * dt, idx)
+                rel = rel + _jump_sums(bundle, n_nu, idx,
+                                        lambda u, lanes: self._atom(u)) / x
+            return rel
+
+        return (self._growth(x, mu, var, stable, dt, row, jumps), t + dt, dt,
+                hit_horizon)
+
+    def _growth(self, x, mu, var, stable, dt, row, jumps=None):
+        """x times a step's growth X'/X, from the scaled rates, the step
+        length dt and prefix draws ``row``, ``jumps(rel)`` adding any
+        Poisson-counted jumps to rel; dt of shape (k, 1) and rows (draws,
+        k, lanes) give k steps."""
         rel = mu * dt
         if self.stable:
             rel = rel + (stable * dt) ** (1.0 / self.alpha) * row[-1]
-        elif self.a2_active:
-            rel = rel - comp * dt + np.sqrt(var_jump * dt) * row[-1]
-            n_big = bundle.poissons(rate_big * dt, idx)
-            rel = rel + _jump_sums(
-                bundle, n_big, idx,
-                lambda u, lanes: self._heavy_jump(eps[lanes], u)) / x
-        if self.nu_active:
-            n_nu = bundle.poissons(rate_nu * dt, idx)
-            rel = rel + _jump_sums(bundle, n_nu, idx,
-                                    lambda u, lanes: self._atom(u)) / x
+        if self.poisson:
+            rel = jumps(rel)
         grow = 1.0 + rel
         # a step past the float range lands on the cap
         with np.errstate(over="ignore"):
             if self.a1_active:
                 v = var * dt
                 grow = grow / (1.0 + 0.5 * v) * np.exp(np.sqrt(v) * row[0])
-            return x * grow, t + dt, dt, hit_horizon
+            return x * grow
+
+    def step_ahead(self, x, t, ahead):
+        """The rows of ``draw_ahead`` as fixed steps of scale-free rates
+        from lanes x all at time t, up to the horizon: the states after
+        each row (rows, lanes), each row's (t', dt) and whether the last
+        reaches the horizon, every bit as ``advance`` steps them."""
+        clock, hit = [], False
+        while not hit and len(clock) < ahead.shape[1]:
+            remaining = self.cfg.horizon_t - t
+            hit = self.cfg.dt >= remaining
+            dt = remaining if hit else self.cfg.dt
+            t = t + dt
+            clock.append((t, dt))
+        path = self._growth(np.ones(x.size), *self.free_rates,
+                            np.array(clock)[:, 1:], ahead[:, :len(clock)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            path[0] *= x
+            if len(path) > 1:   # costs a pass per lane even on one row
+                np.multiply.accumulate(path, axis=0, out=path)
+        return path, clock, hit
 
 
 def _check_start(cfg, x0, t=None, t_name="t"):
@@ -409,7 +454,9 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     their event times, flags, state and stream counters are written back
     to the caller's arrays and ``bundle`` once, and the live set is
     compacted, with the unread rows of the live lanes' drawn-ahead prefix
-    (``_Engine.draw_ahead``, refilled when it runs out).  Lanes still live
+    (``_Engine.draw_ahead``, refilled when it runs out), or of the states
+    ``_Engine.step_ahead`` made of all of them, when the block moves from
+    one row where lanes finish to the next at once.  Lanes still live
     when ``step_budget`` runs out are written back the same way.
 
     ``on_step(lanes, x_left, x, t, dt)``, when given, is called after
@@ -446,23 +493,48 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     floor, cap = cfg.floor_zero, cfg.cap_b
     below = (lambda v: v < a) if a > floor else (lambda v: v <= floor)
     above = (lambda v: v > b) if b < cap else (lambda v: v >= cap)
+    # scale-free fixed steps: each refill steps its whole buffer at once
+    at_once = eng.free_rates is not None and not cfg.adaptive
     iterations = lane_steps = 0
     row = depth = 0   # the next unread row of the live lanes' prefix
+    now = 0.0         # the live lanes' time, when they share one
     while lanes.size and iterations < cfg.step_budget:
-        iterations += 1
-        lane_steps += lanes.size
         if row == depth:
             depth = 1 if eng.poisson else min(
                 _AHEAD_STEPS, max(1, _AHEAD_BUDGET // lanes.size))
             ahead, row = eng.draw_ahead(live, depth), 0
+            if at_once:
+                path, clock, hit = eng.step_ahead(xl, now, ahead)
+                depth = len(clock)
+                ends = below(path) | above(path)
+                ends[-1] |= hit
         x_left = xl
-        # idx positional: perfbench's trace hook reads it as args[4]
-        xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None,
-                                              ahead[:, row])
-        row += 1
+        if at_once:
+            if row == 0:   # a new or compacted buffer: its first end row
+                finish = min(np.flatnonzero(ends.any(1)).tolist(), default=depth)
+            # on to the next row where lanes finish, the end or the budget
+            stop = row + 1 if on_step is not None else min(
+                finish + 1, depth, row + cfg.step_budget - iterations)
+            iterations += stop - row
+            lane_steps += (stop - row) * lanes.size
+            live.advance((stop - row) * len(eng.prefix))
+            row = stop
+            xl, done = path[row - 1], ends[row - 1]
+            now, dt = clock[row - 1]
+            if row <= finish and on_step is None and \
+                    iterations < cfg.step_budget:
+                continue
+            tl, dt = np.full(lanes.size, now), np.full(lanes.size, dt)
+        else:
+            iterations += 1
+            lane_steps += lanes.size
+            # idx positional: perfbench's trace hook reads it as args[4]
+            xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None,
+                                                  ahead[:, row])
+            row += 1
+            done = below(xl) | above(xl) | hit_horizon
         if on_step is not None:
             on_step(lanes, x_left, xl, tl, dt)
-        done = below(xl) | above(xl) | hit_horizon
         if not done.any():
             continue
 
@@ -486,7 +558,12 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         lanes, xl, tl = lanes[keep], xl[keep], tl[keep]
         live = live.take(keep)
         if row < depth:
-            ahead, row, depth = ahead[:, row:, keep], 0, depth - row
+            if at_once:
+                path, ends, clock = (path[row:, keep], ends[row:, keep],
+                                     clock[row:])
+            else:
+                ahead = ahead[:, row:, keep]
+            row, depth = 0, depth - row
 
     # lanes the step budget cut off
     unfinished[lanes] = True
@@ -504,10 +581,10 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
 def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float, seed: int,
                max_points: int = 10_000):
     """One path trace on stream 0 of ``seed`` as (t, x) arrays, thinned to
-    at most max_points.
+    at most max_points, and whether the step budget cut it off.
 
     The path is the lane's (t, x) after every step, from (0, x0) to its
-    first event; a state at or below the zero floor reads 0.
+    first event or last step; a state at or below the zero floor reads 0.
     """
     _check_start(cfg, x0)
     pts = [(0.0, float(x0))]
@@ -516,16 +593,16 @@ def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float, seed: int,
         pts.append((float(t[0]),
                     0.0 if x[0] <= cfg.floor_zero else float(x[0])))
 
-    _run_block(model, cfg, x0, a=-1.0, b=np.inf,
-               bundle=StreamBundle(seed, np.zeros(1, dtype=np.uint64)),
-               on_step=record)
+    out = _run_block(model, cfg, x0, a=-1.0, b=np.inf,
+                     bundle=StreamBundle(seed, np.zeros(1, dtype=np.uint64)),
+                     on_step=record)
     stride = max(1, int(math.ceil(len(pts) / (max_points - 1))))
     thinned = pts[::stride]
     if thinned[-1] != pts[-1]:
         thinned.append(pts[-1])
     ts = np.array([p[0] for p in thinned])
     xs = np.array([p[1] for p in thinned])
-    return ts, xs
+    return ts, xs, bool(out["unfinished"][0])
 
 
 def martingale_residual(model: ValidatedModel, cfg: SimConfig,

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,12 +9,7 @@ import pytest
 
 from nlbranch.cli import build_parser, main
 from nlbranch.criteria import classify
-from nlbranch.config import (
-    ConfigError,
-    config_echo,
-    echo_to_ini,
-    parse_config_text,
-)
+from nlbranch.config import ConfigError, config_echo, parse_config_text
 from nlbranch.model import StableMeasure
 
 GBM_CONFIG = """
@@ -116,6 +112,7 @@ FAILED_CHECKS = [
     ("sim", "dt", "-1", "positive"),
     ("sim", "eps_cut", "0", "positive"),
     ("sim", "horizon_t", "0", "positive"),
+    ("sim", "horizon_t", "inf", "finite"),
     ("sim", "cap_b", "-1e10", "positive"),
     ("sim", "floor_zero", "-1", ">= 0"),
     ("sim", "floor_zero", "nan", ">= 0"),
@@ -183,6 +180,35 @@ step_budget = 12345
 """).replace("format = json", """path = rows.csv
 format = CSV
 """)
+
+
+def _rate_to_ini(name, desc, out):
+    out.write(f"[{name}]\n")
+    if desc["type"] == "powerlaw":
+        out.write(f"type = powerlaw\nb = {desc['b']!r}\nr = {desc['r']!r}\n\n")
+    else:
+        pairs = " ".join(f"{u!r}:{v!r}" for u, v in desc["knots"])
+        out.write(f"type = tabulated\nknots = {pairs}\n\n")
+
+
+def echo_to_ini(echo):
+    """A config echo written back as INI text that re-parses identically."""
+    out = io.StringIO()
+    m = echo["model"]
+    out.write(f"[model]\nalpha = {m['alpha']!r}\n")
+    out.write(f"u_max = {'inf' if m['u_max'] is None else repr(m['u_max'])}\n\n")
+    for name in ("a0", "a1", "a2", "a3"):
+        _rate_to_ini(f"model.{name}", m[name], out)
+    atoms = " ".join(f"{z!r}:{w!r}" for z, w in m["nu"]["atoms"])
+    out.write(f"[model.nu]\natoms = {atoms}\n\n")
+    for section in ("sim", "mc", "output"):
+        out.write(f"[{section}]\n")
+        for key, val in echo[section].items():
+            if not isinstance(val, str):
+                val = "" if val is None else repr(val)
+            out.write(f"{key} = {val}\n")
+        out.write("\n")
+    return out.getvalue()
 
 
 def test_config_round_trip():
@@ -378,6 +404,29 @@ def test_cli_simulate_trace_deterministic(tmp_path):
     assert body1 == body2
     assert body1.startswith("t,x\n0.0,5.0")
     assert len(body1.splitlines()) <= 10_002
+
+
+def test_cli_simulate_names_a_path_cut_off_by_the_step_budget(tmp_path,
+                                                               capsys):
+    # 50 fixed steps of 1e-2 end at t = 0.5 of horizon_t = 2: the trace
+    # stops there, stderr names the budget and the t reached, and simulate
+    # still exits 0; a path that runs to its horizon writes no such line
+    text = GBM_CONFIG.replace("format = json", "format = csv")
+    for budget in (50, 1000):
+        cfg = write(tmp_path, "gbm.ini", text.replace(
+            "adaptive = true", f"step_budget = {budget}"))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--x0", "5",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        t_last = float(rows[-1].split(",")[0])
+        err = capsys.readouterr().err.splitlines()
+        if budget == 50:
+            assert len(rows) == 51 and t_last == pytest.approx(0.5)
+            assert err == ["[sim] step_budget = 50 cut the path off at "
+                           f"t = {t_last!r}"]
+        else:
+            assert t_last == pytest.approx(2.0) and err == []
 
 
 # a start or a horizon no path can run from: (command, query, the

@@ -6,7 +6,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from nlbranch.criteria import generator_values, linear_test_function, ln_test_function
-from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, validate
+from nlbranch.model import (
+    FiniteMeasure,
+    ModelSpec,
+    PowerLaw,
+    StableMeasure,
+    ValidationError,
+    validate,
+)
 from nlbranch import simulator
 from nlbranch.numerics import StreamBundle
 from nlbranch.simulator import (
@@ -90,6 +97,15 @@ def test_cutoff_terms_per_lane_match_scalar_params():
 
 # ---------------------------------------------------------------------------
 # stepping basics
+
+
+def test_sim_config_rejects_an_infinite_horizon():
+    # a run to t = inf would stop only at the step budget
+    for horizon in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(horizon_t=horizon)
+        assert exc.value.code == "horizon_t"
+    assert "finite" in str(exc.value)
 
 
 def test_step_deterministic_drift():
@@ -199,8 +215,9 @@ def test_block_run_drift_only_upward():
 def test_trace_path_thinned_and_deterministic():
     m = make_model(b0=1.0, r0=1.0, b1=0.5, r1=2.0)
     cfg = SimConfig(dt=1e-4, eps_cut=1e-4, horizon_t=2.0)
-    t1, x1 = trace_path(m, cfg, 1.0, 42, max_points=500)
-    t2, x2 = trace_path(m, cfg, 1.0, 42, max_points=500)
+    t1, x1, cut1 = trace_path(m, cfg, 1.0, 42, max_points=500)
+    t2, x2, cut2 = trace_path(m, cfg, 1.0, 42, max_points=500)
+    assert not cut1 and not cut2
     assert len(t1) <= 501
     assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
     assert t1[0] == 0.0 and x1[0] == 1.0
@@ -501,6 +518,65 @@ def test_ragged_lanes_equal_single_paths_cut_by_the_budget():
     assert len(set(steps)) >= 3
 
 
+README_MODEL = dict(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5)
+MIXED_CRITICAL = dict(b0=0.5 + 0.5 * gamma(1.5), r0=1.0, b1=1.0, r1=2.0,
+                      b2=0.5, r2=1.5)
+
+# scale-free fixed-step blocks, which step a whole drawn-ahead buffer at
+# once: (model, cfg, x0, a, b, lanes, seed)
+SCALE_FREE_BLOCKS = {
+    "readme-both-barriers": (README_MODEL, SimConfig(dt=1e-3, horizon_t=0.3),
+                             10.0, 9.0, 12.0, 24, 5),
+    "mixed-critical": (MIXED_CRITICAL, SimConfig(dt=1e-2, horizon_t=2.0),
+                       10.0, 4.0, 25.0, 24, 13),
+    "jump-critical-coarse": (README_MODEL, SimConfig(dt=0.5, horizon_t=10.0),
+                             1.0, -1.0, np.inf, 40, 18),
+    "readme-budget": (README_MODEL, SimConfig(dt=1e-3, step_budget=40),
+                      10.0, 9.0, 11.0, 24, 6),
+}
+
+
+@pytest.mark.parametrize("case", SCALE_FREE_BLOCKS)
+def test_scale_free_fixed_step_lanes_equal_single_paths(case):
+    params, cfg, x0, a, b, n, seed = SCALE_FREE_BLOCKS[case]
+    m = make_model(**params)
+    assert _Engine(m, cfg).free_rates is not None
+    block, steps = _assert_lanes_match_single_runs(m, cfg, x0, a, b, n, seed)
+    assert len(set(steps)) >= 4
+    if case == "jump-critical-coarse":
+        assert 0 < np.count_nonzero(block["absorbed"]) < n
+    if case == "readme-budget":
+        assert block["iterations"] == 40
+        assert 0 < np.count_nonzero(block["unfinished"]) < n
+    else:
+        assert not block["unfinished"].any()
+
+
+def test_only_scale_free_fixed_steps_skip_the_per_step_engine(monkeypatch):
+    # a README-model block without a callback steps no lane through
+    # advance; an adaptive block and a state-dependent one (r1 = 3) still
+    # call it once per step
+    calls = []
+    advance = _Engine.advance
+
+    def counted(self, *args):
+        calls.append(1)
+        return advance(self, *args)
+
+    monkeypatch.setattr(_Engine, "advance", counted)
+    readme = make_model(**README_MODEL)
+    fixed = SimConfig(dt=1e-3, horizon_t=0.2)
+    for m, cfg, steps in ((readme, fixed, 0),
+                          (readme, replace(fixed, adaptive=True), None),
+                          (make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0), fixed,
+                           None)):
+        calls.clear()
+        out = _run_block(m, cfg, 10.0, 9.0, 12.0,
+                         StreamBundle(3, np.arange(16, dtype=np.uint64)))
+        assert out["iterations"] > 0
+        assert len(calls) == (out["iterations"] if steps is None else steps)
+
+
 def test_ragged_lanes_equal_single_paths_with_generator_integral():
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
     cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
@@ -587,13 +663,11 @@ def test_draw_ahead_depth_changes_no_bit_readme_model(monkeypatch):
     assert mid > 0
 
 
-def test_step_callback_sees_every_lane_step():
-    # a ragged adaptive block: the callback runs once per iteration on the
-    # lanes live in it, each step starts where the lane's last one ended,
-    # and a lane's dts add up to its final t bit for bit
-    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True)
-    n, x0 = 12, 1e6
+def _assert_callback_sees_every_lane_step(m, cfg, x0, a, b):
+    """On a ragged 12-lane block the callback runs once per iteration on
+    the lanes live in it, each step starts where the lane's last one
+    ended, and a lane's dts add up to its final t bit for bit."""
+    n = 12
     t_sum = np.zeros(n)
     x_last = np.full(n, x0)
     live = []
@@ -604,13 +678,26 @@ def test_step_callback_sees_every_lane_step():
         x_last[lanes] = x
         t_sum[lanes] += dt
 
-    out = _run_block(m, cfg, x0, 10.0, np.inf,
+    out = _run_block(m, cfg, x0, a, b,
                      StreamBundle(7, np.arange(n, dtype=np.uint64)),
                      on_step=on_step)
     assert len(set(live)) >= 6
     np.testing.assert_array_equal(t_sum, out["t"])
     assert len(live) == out["iterations"]
     assert sum(live) == out["lane_steps"]
+
+
+def test_step_callback_sees_every_lane_step():
+    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
+    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True)
+    _assert_callback_sees_every_lane_step(m, cfg, 1e6, 10.0, np.inf)
+
+
+def test_step_callback_sees_every_lane_step_of_a_buffer_stepped_at_once():
+    m = make_model(**README_MODEL)
+    assert _Engine(m, SimConfig()).free_rates is not None
+    _assert_callback_sees_every_lane_step(
+        m, SimConfig(dt=1e-3, horizon_t=0.3), 10.0, 9.0, 12.0)
 
 
 def test_engine_counts_steps_and_lane_steps():
