@@ -383,21 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification for state-dependent branching models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run file (INI)")
+    def common(p, has_csv=False):
+        p.add_argument("--config", required=True, help="run file (INI)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (fallback: NLBRANCH_THREADS)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        if has_csv:
+            p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("classify", help="boundary-behavior verdicts")
     common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="one path trace")
-    common(p)
+    common(p, has_csv=True)
     p.add_argument("--x0", type=float, required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_passage)
 
     p = sub.add_parser("sweep", help="phase-diagram sweep from a grid CSV")
-    common(p)
+    common(p, has_csv=True)
     p.add_argument("--grid", required=True, help="CSV of parameter overrides")
     p.set_defaults(func=cmd_sweep)
 

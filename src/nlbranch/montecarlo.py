@@ -111,6 +111,9 @@ class AbsorptionRates:
 def _run_replicates(model, cfg, x0, a, b, horizon, n_paths, seed,
                     threads=1, stream_offset=0):
     """Simulate n_paths replicates in fixed blocks; gather in index order."""
+    if n_paths < MIN_PATHS:
+        raise ValueError(f"need at least {MIN_PATHS} paths for a meaningful "
+                         f"interval, got n_paths = {n_paths}")
     blocks = []
     lo = 0
     while lo < n_paths:
@@ -153,9 +156,6 @@ def estimate_passage_prob(model, cfg: SimConfig, x0: float, a: float,
     _check_start(cfg, x0, t)
     if not 0.0 < a < x0:
         raise ValueError("need 0 < a < x0")
-    if n_paths < MIN_PATHS:
-        raise ValueError(f"need at least {MIN_PATHS} paths for a meaningful "
-                         "interval")
     out = _run_replicates(model, cfg, x0, a, np.inf, t, n_paths, seed,
                           threads, stream_offset)
     # the run stops at t, so every recorded crossing is one by t; the last

@@ -78,8 +78,9 @@ def _to_unit(word, out):
 class StreamBundle:
     """A vector of independent streams, one per lane.
 
-    All draw methods produce one value per selected lane and advance only
-    the selected lanes' counters by exactly the number of words consumed.
+    ``uniforms``, ``normals`` and ``poissons`` draw one value per lane and
+    advance each counter by exactly the words it consumed; ``uniforms_at``
+    and ``advance`` act on the lanes they are given (default: all).
     """
 
     def __init__(self, seed: int, stream_ids):
@@ -143,26 +144,24 @@ class StreamBundle:
         idx = slice(None) if idx is None else idx
         return self._words(np.asarray(offsets, dtype=np.uint64), idx)
 
-    def uniforms(self, idx=None):
-        """One uniform in (0,1) per selected lane; advances counters."""
-        idx = slice(None) if idx is None else idx
-        u = self._words(_U64(0), idx)
-        self._ctr[idx] += _U64(1)
+    def uniforms(self):
+        """One uniform in (0,1) per lane; advances counters."""
+        u = self._words(_U64(0), slice(None))
+        self._ctr += _U64(1)
         return u
 
-    def normals(self, idx=None):
+    def normals(self):
         """One standard normal per lane via the inverse-CDF transform."""
-        return ndtri(self.uniforms(idx))
+        return ndtri(self.uniforms())
 
-    def poissons(self, lam, idx=None):
+    def poissons(self, lam):
         """One Poisson count per lane with per-lane rates ``lam``.
 
         Exact at every rate: a lane splits its rate into
         max(ceil(lam / 500), 1) equal pieces, each inverted on the lane's
         next word, and consumes one word per piece.
         """
-        shape = (self.size,) if idx is None else np.shape(idx)
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), shape)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), (self.size,))
         top = lam.max(initial=0.0)
         # a nan fails the min, an infinite rate the max
         if not (lam.min(initial=0.0) >= 0.0 and top < np.inf):
@@ -173,19 +172,18 @@ class StreamBundle:
         pieces = np.ceil(lam[many] / _POISSON_PIECE)
         lam_piece = lam.copy()
         lam_piece[many] /= pieces
-        out = _poisson_inversion(lam_piece, self.uniforms(idx))
+        out = _poisson_inversion(lam_piece, self.uniforms())
         if many.size:
             # every further piece of every such lane in one inversion, on
             # the lane's words at offsets 0, 1, ... past piece 0
             extra = pieces.astype(np.int64) - 1
-            lanes = many if idx is None else np.asarray(idx)[many]
             starts = np.cumsum(extra) - extra
             offsets = np.arange(extra.sum()) - np.repeat(starts, extra)
             counts = _poisson_inversion(
                 np.repeat(lam_piece[many], extra),
-                self.uniforms_at(offsets, np.repeat(lanes, extra)))
+                self.uniforms_at(offsets, np.repeat(many, extra)))
             out[many] += np.add.reduceat(counts, starts)
-            self.advance(extra, lanes)
+            self.advance(extra, many)
         return out
 
 

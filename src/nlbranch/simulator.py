@@ -41,7 +41,7 @@ a1 = 2x^3 and adaptive steps (dt <= 1e-2) it reads 0.591 against
 0.6259, the exact law of the capped process the simulator runs, -10.2
 standard errors at 20k paths.
 
-The engine advances whole lanes of paths as numpy vectors.  Lane i always
+The engine steps every lane of a bundle as numpy vectors.  Lane i always
 consumes random stream i regardless of scheduling, so results are
 bit-identical for any thread count or block size.  A block steps only its
 live lanes, held contiguous with their streams; lanes that finish leave
@@ -183,7 +183,7 @@ def _ahead_offsets(w, k):
     return offsets
 
 
-def _jump_sums(bundle, counts, idx, size):
+def _jump_sums(bundle, counts, size):
     """Each lane's sum of its ``counts`` jumps, and the lanes' streams
     advanced past them.
 
@@ -197,17 +197,16 @@ def _jump_sums(bundle, counts, idx, size):
     sums = np.zeros(counts.shape)
     top = int(counts.max(initial=0))
     if top > 256:
-        lane_idx = np.arange(counts.size) if idx is None else idx
         for k in np.flatnonzero(counts):
-            u = bundle.uniforms_at(np.arange(counts[k], dtype=np.uint64),
-                                   lane_idx[k:k + 1])
+            lane = slice(k, k + 1)
+            u = bundle.uniforms_at(np.arange(counts[k], dtype=np.uint64), lane)
             # not np.sum: it adds pairwise, in another order
-            sums[k] = np.add.accumulate(size(u, slice(k, k + 1)))[-1]
+            sums[k] = np.add.accumulate(size(u, lane))[-1]
     else:
         for j in range(top):
-            u = bundle.uniforms_at(j, idx)
+            u = bundle.uniforms_at(j)
             sums += np.where(counts > j, size(u, slice(None)), 0.0)
-    bundle.advance(counts, idx)
+    bundle.advance(counts)
     return sums
 
 
@@ -318,12 +317,12 @@ class _Engine:
         k = np.searchsorted(self.nu_cum, u)
         return self.nu_z[np.minimum(k, self.nu_z.size - 1)]
 
-    def draw_ahead(self, bundle, k, idx=None):
-        """The prefix draws of the selected lanes' next k steps from one
+    def draw_ahead(self, bundle, k):
+        """The prefix draws of the bundle's next k steps from one
         ``uniforms_at`` pass, shape (draws, k, lanes): N1 first, then the
         stable unit S or N2.  Step j reads the words k steps one at a
         time would read."""
-        u = bundle.uniforms_at(_ahead_offsets(len(self.prefix), k), idx)
+        u = bundle.uniforms_at(_ahead_offsets(len(self.prefix), k))
         if self.stable:
             u[-2] = _stable_unit(self.alpha, u[-2], u[-1])
             u = u[:-1]
@@ -331,11 +330,11 @@ class _Engine:
         ndtri(normals, out=normals)
         return u
 
-    def advance(self, x, t, bundle, idx, row=None):
-        """One step for the lanes ``idx`` of ``bundle`` (None: all of its
-        lanes, in order); returns (x', t', dt, hit_horizon).  ``row`` is
-        the step's prefix draws, ``draw_ahead(...)[:, j]`` (None: drawn
-        here); either way the counters then move past the prefix."""
+    def advance(self, x, t, bundle, row=None):
+        """One step for the lanes of ``bundle``; returns (x', t', dt,
+        hit_horizon).  ``row`` is the step's prefix draws,
+        ``draw_ahead(...)[:, j]`` (None: drawn here); either way the
+        counters then move past the prefix."""
         cfg = self.cfg
         spec = self.model.spec
         scaled = _Scaled(x)
@@ -374,19 +373,19 @@ class _Engine:
         dt = np.where(hit_horizon, remaining, dt)
 
         if row is None:
-            row = self.draw_ahead(bundle, 1, idx)[:, 0]
-        bundle.advance(len(self.prefix), idx)
+            row = self.draw_ahead(bundle, 1)[:, 0]
+        bundle.advance(len(self.prefix))
 
         def jumps(rel):
             if self.a2_active and not self.stable:
                 rel = rel - comp * dt + np.sqrt(var_jump * dt) * row[-1]
-                n_big = bundle.poissons(rate_big * dt, idx)
+                n_big = bundle.poissons(rate_big * dt)
                 rel = rel + _jump_sums(
-                    bundle, n_big, idx,
+                    bundle, n_big,
                     lambda u, lanes: self._heavy_jump(eps[lanes], u)) / x
             if self.nu_active:
-                n_nu = bundle.poissons(rate_nu * dt, idx)
-                rel = rel + _jump_sums(bundle, n_nu, idx,
+                n_nu = bundle.poissons(rate_nu * dt)
+                rel = rel + _jump_sums(bundle, n_nu,
                                         lambda u, lanes: self._atom(u)) / x
             return rel
 
@@ -411,20 +410,21 @@ class _Engine:
                 grow = grow / (1.0 + 0.5 * v) * np.exp(np.sqrt(v) * row[0])
             return x * grow
 
-    def step_ahead(self, x, t, ahead):
-        """The rows of ``draw_ahead`` as fixed steps of scale-free rates
-        from lanes x all at time t, up to the horizon: the states after
-        each row (rows, lanes), each row's (t', dt) and whether the last
-        reaches the horizon, every bit as ``advance`` steps them."""
+    def step_ahead(self, x, t, bundle, k):
+        """Up to k fixed steps of scale-free rates from lanes x all at
+        time t, on the ``draw_ahead`` rows of ``bundle`` to the horizon:
+        the states after each row (rows, lanes), each row's (t', dt) and
+        whether the last reaches it, every bit as ``advance`` steps them."""
         clock, hit = [], False
-        while not hit and len(clock) < ahead.shape[1]:
+        while not hit and len(clock) < k:
             remaining = self.cfg.horizon_t - t
             hit = self.cfg.dt >= remaining
             dt = remaining if hit else self.cfg.dt
             t = t + dt
             clock.append((t, dt))
         path = self._growth(np.ones(x.size), *self.free_rates,
-                            np.array(clock)[:, 1:], ahead[:, :len(clock)])
+                            np.array(clock)[:, 1:],
+                            self.draw_ahead(bundle, len(clock)))
         with np.errstate(over="ignore", invalid="ignore"):
             path[0] *= x
             if len(path) > 1:   # costs a pass per lane even on one row
@@ -455,9 +455,9 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     to the caller's arrays and ``bundle`` once, and the live set is
     compacted, with the unread rows of the live lanes' drawn-ahead prefix
     (``_Engine.draw_ahead``, refilled when it runs out), or of the states
-    ``_Engine.step_ahead`` made of all of them, when the block moves from
-    one row where lanes finish to the next at once.  Lanes still live
-    when ``step_budget`` runs out are written back the same way.
+    ``_Engine.step_ahead`` made of those up to the horizon, when the block
+    moves from one row where lanes finish to the next at once.  Lanes
+    still live when ``step_budget`` runs out are written back the same way.
 
     ``on_step(lanes, x_left, x, t, dt)``, when given, is called after
     every step and before any finished lane leaves the live set:
@@ -465,10 +465,10 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     states before the step and ``x``, ``t``, ``dt`` after it.  It must not
     write to these arrays.
 
-    Returns a dict of per-lane arrays (crossing times are nan when the
-    event never happened, ``unfinished`` marks lanes the step budget cut
-    off) and the ints ``iterations`` (steps taken) and ``lane_steps``
-    (lanes summed over them).
+    Returns a dict of per-lane arrays (``tau_a``, ``tau_b`` are nan when
+    the crossing never happened, ``absorbed`` and ``capped`` lanes ended
+    at ``t``, ``unfinished`` ones were cut off by the step budget) and the
+    ints ``iterations`` (steps taken) and ``lane_steps`` (summed lanes).
     """
     horizon = cfg.horizon_t if horizon is None else float(horizon)
     eng = _Engine(model, replace(cfg, horizon_t=horizon), levels=(a, b))
@@ -477,8 +477,6 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     t = np.zeros(n)
     tau_a = np.full(n, np.nan)
     tau_b = np.full(n, np.nan)
-    tau_zero = np.full(n, np.nan)
-    capped_at = np.full(n, np.nan)
     absorbed = np.zeros(n, dtype=bool)
     capped = np.zeros(n, dtype=bool)
     unfinished = np.zeros(n, dtype=bool)
@@ -500,14 +498,15 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     now = 0.0         # the live lanes' time, when they share one
     while lanes.size and iterations < cfg.step_budget:
         if row == depth:
-            depth = 1 if eng.poisson else min(
+            row, depth = 0, 1 if eng.poisson else min(
                 _AHEAD_STEPS, max(1, _AHEAD_BUDGET // lanes.size))
-            ahead, row = eng.draw_ahead(live, depth), 0
-            if at_once:
-                path, clock, hit = eng.step_ahead(xl, now, ahead)
+            if at_once:   # only the rows up to the horizon are drawn
+                path, clock, hit = eng.step_ahead(xl, now, live, depth)
                 depth = len(clock)
                 ends = below(path) | above(path)
                 ends[-1] |= hit
+            else:
+                ahead = eng.draw_ahead(live, depth)
         x_left = xl
         if at_once:
             if row == 0:   # a new or compacted buffer: its first end row
@@ -528,9 +527,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         else:
             iterations += 1
             lane_steps += lanes.size
-            # idx positional: perfbench's trace hook reads it as args[4]
-            xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, None,
-                                                  ahead[:, row])
+            # row positional: perfbench's trace hook reads it as args[4]
+            xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, ahead[:, row])
             row += 1
             done = below(xl) | above(xl) | hit_horizon
         if on_step is not None:
@@ -546,9 +544,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         absorbed_now = xl[sel] <= floor
         x_fin = np.where(absorbed_now, 0.0, xl[sel])
         capped_now = x_fin >= cap  # an absorbed lane sits at 0
-        for times, flags in ((tau_a, x_fin < a), (tau_b, x_fin > b),
-                             (tau_zero, absorbed_now), (capped_at, capped_now)):
-            times[fin] = np.where(flags, t_fin, np.nan)
+        tau_a[fin] = np.where(x_fin < a, t_fin, np.nan)
+        tau_b[fin] = np.where(x_fin > b, t_fin, np.nan)
         absorbed[fin] = absorbed_now
         capped[fin] = capped_now
         x[fin] = x_fin
@@ -571,9 +568,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     t[lanes] = tl
     bundle.put(lanes, live)
     return {
-        "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b,
-        "tau_zero": tau_zero, "capped_at": capped_at,
-        "absorbed": absorbed, "capped": capped, "unfinished": unfinished,
+        "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b, "absorbed": absorbed,
+        "capped": capped, "unfinished": unfinished,
         "iterations": iterations, "lane_steps": lane_steps,
     }
 
@@ -587,6 +583,8 @@ def trace_path(model: ValidatedModel, cfg: SimConfig, x0: float, seed: int,
     first event or last step; a state at or below the zero floor reads 0.
     """
     _check_start(cfg, x0)
+    if max_points < 2:
+        raise ValueError(f"max_points must be >= 2, got {max_points}")
     pts = [(0.0, float(x0))]
 
     def record(lanes, x_left, x, t, dt):
@@ -620,6 +618,8 @@ def martingale_residual(model: ValidatedModel, cfg: SimConfig,
     _check_start(cfg, x0, t)
     if not (0.0 < a < x0 < b):
         raise ValueError("need 0 < a < x0 < b")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     g.check_derivatives([a, x0, min(b, 10.0 * x0)])
     n = int(n_paths)
     lg_integral = np.zeros(n)

@@ -196,8 +196,7 @@ def test_criterion_08_stable_increment_distribution():
     bundle = StreamBundle(2718, np.arange(n, dtype=np.uint64))
     eng = _Engine(m, cfg)
     x0 = 1e6
-    x_new, _, _, _ = eng.advance(np.full(n, x0), np.zeros(n), bundle,
-                                 np.arange(n))
+    x_new, _, _, _ = eng.advance(np.full(n, x0), np.zeros(n), bundle)
     increments = x_new - x0
     oracle = cms_one_sided_stable(alpha, n, np.random.default_rng(999))
     stat = float(ks_2samp(increments, oracle).statistic)

@@ -332,6 +332,13 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["classify"]) == 1
     assert main(["classfy", "--config", "run.ini"]) == 1
     assert "usage:" in capsys.readouterr().err
+    # only simulate and sweep write CSV: classify and passage refuse
+    # --format rather than write JSON under it
+    for args in (["classify"], ["passage", "--x0", "10", "--a", "1",
+                                "--t", "1"]):
+        assert main(args + ["--config", "run.ini", "--format", "csv"]) == 1
+        assert "unrecognized arguments: --format csv" in \
+            capsys.readouterr().err
 
 
 def test_cli_builds_one_parser_for_many_calls(tmp_path):

@@ -97,6 +97,14 @@ def test_passage_prob_preconditions():
         estimate_passage_prob(m, cfg, x0=2.0, a=1.0, t=1.0, n_paths=50, seed=0)
 
 
+@pytest.mark.parametrize("n_paths", [0, 99])
+def test_absorption_rates_reject_too_few_paths(n_paths):
+    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    with pytest.raises(ValueError, match=f"n_paths = {n_paths}"):
+        extinction_explosion_rates(make_model(), cfg, x0=2.0, horizon=1.0,
+                                   n_paths=n_paths, seed=0)
+
+
 def test_runs_reject_a_start_or_horizon_no_path_runs_from():
     # x0 must be finite and strictly between the zero floor and the cap,
     # and t in (0, horizon_t]; nan fails both, and each error names its

@@ -215,11 +215,12 @@ def test_bundle_matches_scalar_streams_bitwise():
 
 
 def test_partial_lane_consumption_keeps_purity():
-    # drawing for a subset of lanes must not disturb the others
+    # consuming words of a subset of lanes must not disturb the others
     bundle = StreamBundle(8, np.array([0, 1]))
-    bundle.uniforms(idx=np.array([0]))          # lane 0 consumes one word
-    u1 = bundle.uniforms(idx=np.array([1]))[0]  # lane 1 still at counter 0
+    bundle.advance(1, np.array([0]))  # lane 0 consumes one word
+    u0, u1 = bundle.uniforms()        # lane 1 still at counter 0
     assert u1 == one_lane(8, 1).uniforms()[0]
+    assert u0 == draws(one_lane(8, 0), 2)[1]
 
 
 def test_random_access_by_offset():
@@ -230,7 +231,7 @@ def test_random_access_by_offset():
 
 
 def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
-    # draws on a take of some lanes equal draws on those lanes in place;
+    # draws on a take of some lanes equal those lanes' draws in place;
     # put writes the counters back and leaves the other lanes alone
     ids = np.array([3, 9, 14, 20], dtype=np.uint64)
     ref = StreamBundle(77, ids)
@@ -242,29 +243,31 @@ def test_taken_lanes_draw_as_in_place_and_put_back_their_counters():
     sub = bundle.take(pick)
     assert np.array_equal(sub.stream_ids, ids[pick])
     for _ in range(3):
-        assert np.array_equal(sub.normals(), ref.normals(pick))
-    assert np.array_equal(sub.poissons(np.array([2.0, 700.0])),
-                          ref.poissons(np.array([2.0, 700.0]), pick))
+        assert np.array_equal(sub.normals(), ref.normals()[pick])
+    lam = np.array([0.0, 2.0, 0.0, 700.0])
+    assert np.array_equal(sub.poissons(lam[pick]), ref.poissons(lam)[pick])
     assert np.array_equal(bundle.counters(), [start] * 4)
-    assert np.array_equal(ref.counters(), [start, start + 4, start, start + 5])
+    assert np.array_equal(ref.counters(), [start + 4] * 3 + [start + 5])
     bundle.put(pick, sub)
-    assert np.array_equal(bundle.counters(), ref.counters())
+    assert np.array_equal(bundle.counters(),
+                          [start, start + 4, start, start + 5])
     with pytest.raises(ValueError):
         bundle.put(np.array([0, 1]), sub)
 
 
 def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
-    # idx=None and the same lanes by index give the same counts and
-    # counters, with rates of one, two and up to a hundred pieces
+    # a bundle and a take of the same streams from a wider bundle give
+    # the same counts and counters, with rates of one, two and up to a
+    # hundred pieces
     small = np.concatenate([np.linspace(0.0, 3.0, 40), np.full(8, 0.02)])
     rates = np.concatenate([small, np.linspace(501.0, 999.0, 8),
                             np.linspace(1001.0, 5e4, 8)])
     for lam in (small, rates):
         n = lam.size
-        whole, indexed = (StreamBundle(19, np.arange(n)) for _ in range(2))
+        whole = StreamBundle(19, np.arange(n))
+        indexed = StreamBundle(19, np.arange(n + 7)).take(np.arange(n))
         for _ in range(5):
-            assert np.array_equal(whole.poissons(lam),
-                                  indexed.poissons(lam, np.arange(n)))
+            assert np.array_equal(whole.poissons(lam), indexed.poissons(lam))
         assert np.array_equal(whole.counters(), indexed.counters())
     # one word per piece: one below 500, two up to 1000, ceil(lam / 500)
     pieces = np.maximum(np.ceil(rates / 500.0), 1.0)
@@ -307,7 +310,9 @@ def test_poisson_count_is_its_pieces_inverted_by_the_textbook_search():
         lanes = np.arange(lam.size) if idx is None else idx
         bundle = StreamBundle(808, ids if idx is not None else ids[:lam.size])
         bundle.set_counter(start)
-        counts = bundle.poissons(lam, idx)
+        sub = bundle.take(lanes)
+        counts = sub.poissons(lam)
+        bundle.put(lanes, sub)
         counters = [start] * bundle.size
         for count, rate, m, i in zip(counts, lam, pieces, lanes):
             lane = StreamBundle(808, ids[i:i + 1])

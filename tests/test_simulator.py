@@ -113,7 +113,7 @@ def test_step_deterministic_drift():
     m = make_model(b0=1.0, r0=0.0)
     cfg = SimConfig(dt=0.1, eps_cut=1e-4, horizon_t=10.0)
     x, t, _, hit = _Engine(m, cfg).advance(np.array([1.0]), np.zeros(1),
-                                           one_lane(1), None)
+                                           one_lane(1))
     assert x[0] == pytest.approx(1.1, rel=1e-15)
     assert t[0] == pytest.approx(0.1)
     assert not hit[0]
@@ -127,7 +127,7 @@ def test_step_absorbs_at_zero_and_freezes():
     out = _run_block(m, cfg, x0=1.0, a=-1.0, b=np.inf,
                      bundle=one_lane(1))
     assert out["absorbed"][0] and out["x"][0] == 0.0
-    assert out["tau_zero"][0] == out["t"][0] == pytest.approx(0.1)
+    assert out["t"][out["absorbed"]][0] == pytest.approx(0.1)
     assert (out["iterations"], out["lane_steps"]) == (1, 1)
 
 
@@ -139,8 +139,7 @@ def test_compensation_kills_mean_increment():
     bundle = StreamBundle(7, np.arange(n, dtype=np.uint64))
     eng = _Engine(m, cfg)
     x = np.full(n, 10.0)
-    idx = np.arange(n)
-    x_new, _, dt, _ = eng.advance(x, np.zeros(n), bundle, idx)
+    x_new, _, dt, _ = eng.advance(x, np.zeros(n), bundle)
     incr = x_new - x
     # per-step increment variance: a2 (sigma2_eps + tail second moment) dt
     _, _, sigma2_eps = _cutoff_terms(1.5, C15, 0.01, None)
@@ -158,9 +157,10 @@ def test_absorbing_states_stay_frozen_in_block_run():
                      bundle=StreamBundle(3, np.arange(4, dtype=np.uint64)))
     assert np.all(out["capped"])
     assert np.all(out["x"] >= 1e6)
-    assert np.all(~np.isnan(out["capped_at"]))
+    capped_at = out["t"][out["capped"]]
+    assert np.all(~np.isnan(capped_at))
     # blow-up of dx = x^2 dt from 1: ODE reaches the cap just after t = 1
-    assert np.all(out["capped_at"] > 0.9) and np.all(out["capped_at"] < 1.6)
+    assert np.all(capped_at > 0.9) and np.all(capped_at < 1.6)
 
 
 def test_critical_log_martingale_steps_without_drift():
@@ -177,8 +177,7 @@ def test_critical_log_martingale_steps_without_drift():
         x = np.full(n, x0)
         with np.errstate(all="raise"):
             x_new, _, dt, _ = eng.advance(
-                x, np.zeros(n), StreamBundle(5, np.arange(n, dtype=np.uint64)),
-                np.arange(n))
+                x, np.zeros(n), StreamBundle(5, np.arange(n, dtype=np.uint64)))
         n1 = StreamBundle(5, np.arange(n, dtype=np.uint64)).normals()
         assert np.all(dt > 0.0)
         assert np.allclose(np.log(x_new / x), np.sqrt(2.0 * x0 * dt) * n1,
@@ -221,6 +220,8 @@ def test_trace_path_thinned_and_deterministic():
     assert len(t1) <= 501
     assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
     assert t1[0] == 0.0 and x1[0] == 1.0
+    with pytest.raises(ValueError, match="max_points"):
+        trace_path(m, cfg, 1.0, 42, max_points=1)
 
 
 def test_atom_jumps_only():
@@ -248,8 +249,7 @@ def test_adaptive_stable_steps_keep_the_scale_target():
     from nlbranch.simulator import _Engine
     x = np.array([1e-3, 1.0, 1e3, 1e100])
     _, _, dt, _ = _Engine(m, cfg).advance(
-        x, np.zeros(4), StreamBundle(1, np.arange(4, dtype=np.uint64)),
-        np.arange(4))
+        x, np.zeros(4), StreamBundle(1, np.arange(4, dtype=np.uint64)))
     assert np.allclose((x ** 1.5 * dt) ** (1.0 / 1.5) / x, 0.14, rtol=1e-12)
     out = _run_block(m, cfg, x0=1.0, a=-1.0, b=np.inf,
                      bundle=StreamBundle(18, np.arange(2000, dtype=np.uint64)))
@@ -309,8 +309,7 @@ def test_one_step_increments_match_cms_oracle():
     from nlbranch.simulator import _Engine
     eng = _Engine(m, cfg)
     x0 = 1e6  # far from the floor so no clamping distorts the law
-    x_new, _, _, _ = eng.advance(np.full(n, x0), np.zeros(n), bundle,
-                                 np.arange(n))
+    x_new, _, _, _ = eng.advance(np.full(n, x0), np.zeros(n), bundle)
     increments = x_new - x0
     oracle = cms_one_sided_stable(alpha, n, np.random.default_rng(999))
     stat = ks_2samp(increments, oracle).statistic
@@ -331,6 +330,10 @@ def test_martingale_residual_constant_function():
     out = martingale_residual(m, cfg, const, x0=10.0, t=1.0, a=1.0, b=1e4,
                               n_paths=200, seed=5)
     assert out["residual"] == 0.0
+    # one path has no standard error
+    with pytest.raises(ValueError, match="n_paths"):
+        martingale_residual(m, cfg, const, x0=10.0, t=1.0, a=1.0, b=1e4,
+                            n_paths=1, seed=5)
 
 
 def test_martingale_residual_linear_drift_only():
@@ -375,7 +378,7 @@ def test_paths_stay_nonnegative_with_heavy_compensation():
     assert np.all(out["x"] >= 0.0)
     assert np.any(out["absorbed"])  # this setup does absorb some paths
     assert np.all(out["x"][out["absorbed"]] == 0.0)
-    assert np.all(out["tau_zero"][out["absorbed"]] <= 5.0)
+    assert np.all(out["t"][out["absorbed"]] <= 5.0)
 
 
 def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
@@ -389,14 +392,14 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
     x, t = np.array([float(x0)]), np.zeros(1)
     lg_integral = np.zeros(1)
     nan = float("nan")
-    lane = dict(tau_a=nan, tau_b=nan, tau_zero=nan, capped_at=nan,
-                absorbed=False, capped=False, unfinished=True)
+    lane = dict(tau_a=nan, tau_b=nan, absorbed=False, capped=False,
+                unfinished=True)
     steps = 0
     while steps < cfg.step_budget:
         steps += 1
         if g is not None:
             lg = generator_values(m, g, x, 1e-8)
-        x, t, dt, hit = eng.advance(x, t, rng, np.array([0]))
+        x, t, dt, hit = eng.advance(x, t, rng)
         if g is not None:
             lg_integral = lg_integral + lg * dt
         xv, tv = float(x[0]), float(t[0])
@@ -404,10 +407,9 @@ def _reference_lane(m, cfg, x0, a, b, seed, i, horizon=None, g=None):
         if absorbed:
             xv, x = 0.0, np.zeros(1)
         capped = xv >= cfg.cap_b
-        events = dict(tau_a=xv < a, tau_b=xv > b, tau_zero=absorbed,
-                      capped_at=capped)
-        if any(events.values()) or hit[0]:
-            lane.update({k: tv for k, v in events.items() if v})
+        crossed = dict(tau_a=xv < a, tau_b=xv > b)
+        if any(crossed.values()) or absorbed or capped or hit[0]:
+            lane.update({k: tv for k, v in crossed.items() if v})
             lane.update(absorbed=absorbed, capped=capped, unfinished=False)
             break
     lane.update(x=x[0], t=t[0])
@@ -483,15 +485,13 @@ def test_lane_jump_sums_do_not_depend_on_the_block(jumps):
     cfg = SimConfig(dt=1e-3, eps_cut=1e-4)
     n = 400
     bundle = StreamBundle(5, np.arange(n, dtype=np.uint64))
-    x, _, _, _ = _Engine(m, cfg).advance(np.ones(n), np.zeros(n), bundle,
-                                         None)
+    x, _, _, _ = _Engine(m, cfg).advance(np.ones(n), np.zeros(n), bundle)
     counters = bundle.counters()
     counts = counters - words
     assert min(counts) <= 256 < max(counts)
     for i in range(n):
         rng = one_lane(5, i)
-        xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1), rng,
-                                              None)
+        xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1), rng)
         assert xi[0] == x[i], f"lane {i}"
         assert rng.counters()[0] == counters[i]
 
@@ -592,9 +592,9 @@ def _run_logged(m, cfg, x0, a, b, bundle, monkeypatch):
     log = []
     draw_ahead = _Engine.draw_ahead
 
-    def logged_draw(self, bundle, k, idx=None):
+    def logged_draw(self, bundle, k):
         log.append(("draw", k))
-        return draw_ahead(self, bundle, k, idx)
+        return draw_ahead(self, bundle, k)
 
     with monkeypatch.context() as patch:
         patch.setattr(_Engine, "draw_ahead", logged_draw)
@@ -661,6 +661,28 @@ def test_draw_ahead_depth_changes_no_bit_readme_model(monkeypatch):
                                        monkeypatch)
     assert depths[0] == 16 and max(depths) == 64
     assert mid > 0
+
+
+def test_scale_free_refills_draw_no_row_past_the_horizon(monkeypatch):
+    # the benchmark's README block: 256 lanes to t = 0.05 refill 16 steps
+    # ahead, and the refill that reaches the horizon draws only the 2 rows
+    # left, 50 in all; every lane still equals its own per-step run
+    m = make_model(**README_MODEL)
+    cfg = SimConfig(dt=1e-3, horizon_t=0.05)
+    depths = []
+    draw_ahead = _Engine.draw_ahead
+
+    def logged_draw(self, bundle, k):
+        depths.append(k)
+        return draw_ahead(self, bundle, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "draw_ahead", logged_draw)
+        out = _run_block(m, cfg, 10.0, 1.0, np.inf,
+                         StreamBundle(11, np.arange(256, dtype=np.uint64)))
+    assert depths == [16, 16, 16, 2]
+    assert out["iterations"] == 50 and not out["unfinished"].any()
+    _assert_lanes_match_single_runs(m, cfg, 10.0, 1.0, np.inf, 256, 11)
 
 
 def _assert_callback_sees_every_lane_step(m, cfg, x0, a, b):
