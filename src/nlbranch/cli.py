@@ -29,9 +29,10 @@ from .criteria import (
     phi,
     stable_k_integrals,
 )
-from .model import StableMeasure, ValidationError
+from .model import PowerLaw, StableMeasure, ValidationError
 from .montecarlo import (
     SWEEP_COLUMNS,
+    SWEEP_PARAMS,
     _model_from_params,
     estimate_passage_prob,
     sweep,
@@ -95,7 +96,7 @@ def _finite(obj):
 def _resolve_threads(args, rc: RunConfig) -> int:
     """--threads, else NLBRANCH_THREADS, else [mc] threads (which the run
     file's parse checks); a count below 1 exits 1 and names its source."""
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         if args.threads < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
         return args.threads
@@ -113,12 +114,18 @@ def _resolve_threads(args, rc: RunConfig) -> int:
 
 
 def _load(args) -> RunConfig:
+    """The run file with the command line's overrides; a command with no
+    ``--format`` option has no CSV form, and refuses one from the file."""
     rc = parse_config(args.config)
     if getattr(args, "seed", None) is not None:
         rc.seed = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         rc.output_path = args.out
-    if getattr(args, "format", None):
+    if not hasattr(args, "format"):
+        if rc.output_format != "json":
+            raise ConfigError("output", "format",
+                              f"{args.command} writes JSON only")
+    elif args.format:
         rc.output_format = args.format
     return rc
 
@@ -179,10 +186,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# a grid column overrides one of the parameters a sweep row prints
-GRID_COLUMNS = SWEEP_COLUMNS[:SWEEP_COLUMNS.index("predicted")]
-
-
 def _read_grid(path: str) -> List[Dict[str, float]]:
     grid = []
     with open(path, newline="") as fh:
@@ -190,9 +193,9 @@ def _read_grid(path: str) -> List[Dict[str, float]]:
         if reader.fieldnames is None:
             raise ConfigError("grid", "", f"{path}: empty grid file")
         for name in reader.fieldnames:
-            if name.strip() not in GRID_COLUMNS:
+            if name.strip() not in SWEEP_PARAMS:
                 raise ConfigError("grid", name, "unknown column; known: "
-                                  + ", ".join(GRID_COLUMNS))
+                                  + ", ".join(SWEEP_PARAMS))
         for row in reader:
             if None in row:   # DictReader's key for values past the header
                 raise ConfigError("grid", "", f"{path} line {reader.line_num}:"
@@ -224,20 +227,20 @@ def cmd_sweep(args) -> int:
     grid = _read_grid(args.grid)
     # a row is a full-support power-law model without atoms: a run file
     # that says more would be swept as a different model
-    m = rc.model_params
-    if m["nu"]["atoms"]:
+    m = rc.model
+    if not m.nu_empty:
         raise ConfigError("model.nu", "atoms", "sweep takes no atoms")
-    if m["u_max"] is not None:
+    if not m.full_support:
         raise ConfigError("model", "u_max",
                           "sweep takes full-support models only")
-    for name in ("a0", "a1", "a2"):
-        if m[name]["type"] != "powerlaw":
+    a0, a1, a2 = m.spec.a0, m.spec.a1, m.spec.a2
+    for name, rate in (("a0", a0), ("a1", a1), ("a2", a2)):
+        if not isinstance(rate, PowerLaw):
             raise ConfigError(f"model.{name}", "type",
                               "sweep takes power-law rates only")
     template = {
-        "b0": m["a0"]["b"], "r0": m["a0"]["r"], "b1": m["a1"]["b"],
-        "r1": m["a1"]["r"], "b2": m["a2"]["b"], "r2": m["a2"]["r"],
-        "alpha": rc.model.alpha, "x0": 100.0, "a": 1.0, "t": 1.0,
+        "b0": a0.b, "r0": a0.r, "b1": a1.b, "r1": a1.r, "b2": a2.b,
+        "r2": a2.r, "alpha": m.alpha, "x0": 100.0, "a": 1.0, "t": 1.0,
     }
     rows = sweep(template, grid, rc.sim, n_paths=rc.n_paths, seed=rc.seed,
                  threads=threads)
@@ -365,7 +368,7 @@ def cmd_selftest(args) -> int:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[selftest] {chk['name']}: {status}", file=sys.stderr)
     report = _report("selftest", None, checks, started)
-    _emit(report, getattr(args, "out", None))
+    _emit(report, args.out)
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_SELFTEST
 
 
@@ -383,39 +386,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification for state-dependent branching models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, has_csv=False):
-        p.add_argument("--config", required=True, help="run file (INI)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: NLBRANCH_THREADS)")
-        p.add_argument("--out", default=None, help="output path")
-        if has_csv:
-            p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p = sub.add_parser("classify", help="boundary-behavior verdicts")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("simulate", help="one path trace")
-    common(p, has_csv=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("passage", help="passage probability estimate")
-    common(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_passage)
-
-    p = sub.add_parser("sweep", help="phase-diagram sweep from a grid CSV")
-    common(p, has_csv=True)
-    p.add_argument("--grid", required=True, help="CSV of parameter overrides")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("selftest", help="run the numeric invariant battery")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_selftest)
+    # every option by flag; each subcommand takes only the ones it reads
+    options = {
+        "--config": dict(required=True, help="run file (INI)"),
+        "--seed": dict(type=int, default=None),
+        "--threads": dict(type=int, default=None,
+                          help="worker threads (fallback: NLBRANCH_THREADS)"),
+        "--out": dict(default=None, help="output path"),
+        "--format": dict(choices=("json", "csv"), default=None),
+        "--x0": dict(type=float, required=True),
+        "--a": dict(type=float, required=True),
+        "--t": dict(type=float, required=True),
+        "--grid": dict(required=True, help="CSV of parameter overrides"),
+    }
+    for name, func, help_, flags in (
+            ("classify", cmd_classify, "boundary-behavior verdicts",
+             "--config --out"),
+            ("simulate", cmd_simulate, "one path trace",
+             "--config --seed --out --format --x0"),
+            ("passage", cmd_passage, "passage probability estimate",
+             "--config --seed --threads --out --x0 --a --t"),
+            ("sweep", cmd_sweep, "phase-diagram sweep from a grid CSV",
+             "--config --seed --threads --out --format --grid"),
+            ("selftest", cmd_selftest, "run the numeric invariant battery",
+             "--out")):
+        p = sub.add_parser(name, help=help_)
+        for flag in flags.split():
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -426,7 +424,7 @@ def main(argv=None) -> int:
     May be called repeatedly in one process: the parser is built on the
     first call and reused, and no call sees another's arguments.
     ``sweep`` writes ``row <index>: <error>`` to stderr for each failed
-    row and still exits 0; a grid column outside ``GRID_COLUMNS`` exits
+    row and still exits 0; a grid column outside ``SWEEP_PARAMS`` exits
     1.  ``--threads``, ``NLBRANCH_THREADS`` and ``[mc] threads`` below 1
     exit 1, naming the source.
     """

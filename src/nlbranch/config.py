@@ -14,7 +14,7 @@ nothing reads is an error.
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .model import (
@@ -53,7 +53,6 @@ class RunConfig:
     threads: int = 1
     output_path: Optional[str] = None
     output_format: str = "json"
-    model_params: Dict = field(default_factory=dict)
 
 
 # every settings section: the dataclass whose fields it sets, and the
@@ -245,7 +244,6 @@ def parse_config_text(text: str) -> RunConfig:
     rc.output_format = rc.output_format.lower()
     if rc.output_format not in ("json", "csv"):
         raise ConfigError("output", "format", "must be json or csv")
-    rc.model_params = _describe_model(model)
     return rc
 
 
@@ -288,5 +286,5 @@ def config_echo(rc: RunConfig) -> Dict:
         return {key: getattr(rc, name)
                 for key, name in _SECTIONS[section][1].items()}
 
-    return {"model": rc.model_params, "sim": asdict(rc.sim), "mc": table("mc"),
-            "output": table("output")}
+    return {"model": _describe_model(rc.model), "sim": asdict(rc.sim),
+            "mc": table("mc"), "output": table("output")}

@@ -1,15 +1,15 @@
 """Boundary-behavior criteria for the validated process model.
 
-The classifier rests on three scalar diagnostics of the model at state u:
+The classifier rests on two scalar diagnostics of the model at state u:
 
 * ``phi`` -- the drift index: negative values mean the log-state drifts
   up, positive values mean it drifts down.  Its sign near zero controls
   extinction, its sign near infinity controls explosion.
-* ``k_rho`` -- a curvature kernel comparing log(u+z) against log(u) on a
-  power scale rho; strictly positive for z > 0.
 * ``h_rho`` -- the fluctuation functional at large states: the diffusion
-  term plus the jump measures integrated against ``k_rho``.  Bounded
-  h_rho at infinity keeps a high-started process high ("stays infinite");
+  term plus the jump measures integrated against the curvature kernel
+  k_rho (``_k_kernel``), which compares log(u+z) against log(u) on a
+  power scale rho and is strictly positive for z > 0.  Bounded h_rho at
+  infinity keeps a high-started process high ("stays infinite");
   super-logarithmic growth drags it down in finite time ("comes down
   from infinity").
 
@@ -21,8 +21,10 @@ sum of (coefficient, exponent, log power) terms, exact or a convergent
 series carried to a fixed order, and h_rho's channels are nonnegative
 powers.  Terms that cancel to every order carried, and models the two
 infinity rules do not cover, read inconclusive.  phi has closed forms
-everywhere and classify makes no quadrature call; the k-integrals of
-``h_rho`` use quadrature.
+everywhere, and classify reads h_rho's growth order, not its values, so
+it makes no quadrature call.  The k-integrals serve the ``selftest``
+sandwich check; ``h_rho`` and ``phi_by_quadrature`` are quadrature
+routes the tests check the closed forms against.
 """
 
 import math
@@ -46,7 +48,6 @@ __all__ = [
     "phi_with_scale",
     "phi_by_quadrature",
     "nested_jump_moment",
-    "k_rho",
     "stable_k_integral",
     "stable_k_integrals",
     "k_integral_bounds",
@@ -55,8 +56,6 @@ __all__ = [
     "generator_values",
     "classify",
     "ln_test_function",
-    "linear_test_function",
-    "log_power_test_function",
 ]
 
 _EXPONENT_TOL = 1e-12
@@ -144,93 +143,6 @@ def ln_test_function() -> TestFunction:
         g2=lambda u: -1.0 / (u * u),
         jump_delta=lambda u, z: np.log1p(z / u),
         jump_remainder=lambda u, z: -x_minus_log1p(z / u),
-    )
-
-
-def linear_test_function() -> TestFunction:
-    return TestFunction(
-        g=lambda u: np.asarray(u, dtype=float) + 0.0,
-        g1=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        g2=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        jump_delta=lambda u, z: np.asarray(z, dtype=float) + 0.0,
-        jump_remainder=lambda u, z: np.zeros_like(np.asarray(z, dtype=float)),
-    )
-
-
-def log_power_test_function(rho: float) -> TestFunction:
-    """(ln u)^(-rho) above u=3, smoothly extended below.
-
-    The extension is a quintic on [2, 3] matching value and two
-    derivatives at 3 and flattening to a constant (zero first and second
-    derivative) at 2.  Only values at u > 3 feed any verdict; the
-    extension exists so the function is a total C^2 object.
-    """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    l3 = math.log(3.0)
-    v3 = l3 ** -rho
-    d3 = -rho * l3 ** (-rho - 1.0) / 3.0
-    s3 = (rho * l3 ** (-rho - 1.0) + rho * (rho + 1.0) * l3 ** (-rho - 2.0)) / 9.0
-    c2 = v3 - d3  # first-order extrapolation keeps the blend monotone
-    a_mat = np.array([[ (x - 2.0) ** k for k in range(6)] for x in (2.0, 3.0)])
-    d_mat = np.array([[k * (x - 2.0) ** max(k - 1, 0) for k in range(6)]
-                      for x in (2.0, 3.0)])
-    dd_mat = np.array([[k * (k - 1) * (x - 2.0) ** max(k - 2, 0)
-                        for k in range(6)] for x in (2.0, 3.0)])
-    system = np.vstack([a_mat[0], d_mat[0], dd_mat[0],
-                        a_mat[1], d_mat[1], dd_mat[1]])
-    coef = np.linalg.solve(system, np.array([c2, 0.0, 0.0, v3, d3, s3]))
-
-    def _piece(u, deriv):
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        lo, mid, hi = u <= 2.0, (u > 2.0) & (u <= 3.0), u > 3.0
-        if deriv == 0:
-            out[lo] = c2
-            out[hi] = np.log(u[hi]) ** -rho
-        elif deriv == 1:
-            out[lo] = 0.0
-            out[hi] = -rho * np.log(u[hi]) ** (-rho - 1.0) / u[hi]
-        else:
-            out[lo] = 0.0
-            lu = np.log(u[hi])
-            out[hi] = (rho * lu ** (-rho - 1.0)
-                       + rho * (rho + 1.0) * lu ** (-rho - 2.0)) / u[hi] ** 2
-        x = u[mid] - 2.0
-        if deriv == 0:
-            out[mid] = sum(coef[k] * x ** k for k in range(6))
-        elif deriv == 1:
-            out[mid] = sum(k * coef[k] * x ** (k - 1) for k in range(1, 6))
-        else:
-            out[mid] = sum(k * (k - 1) * coef[k] * x ** (k - 2)
-                           for k in range(2, 6))
-        return float(out[0]) if scalar else out
-
-    def _delta(u, z):
-        u, z = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                   np.asarray(z, dtype=float))
-        out = np.empty(u.shape)
-        # for u > 3 both arguments sit on the pure branch and the
-        # difference has the cancellation-free form
-        # (ln u)^-rho * expm1(-rho * log1p(log1p(z/u)/ln u)); ln u and its
-        # power come from scalar math once per distinct state, since
-        # numpy's vectorized log and power can differ in the last bit
-        hi = u > 3.0
-        states, at = np.unique(u[hi], return_inverse=True)
-        lnu = _logs(states.tolist())
-        scale = np.array([v ** -rho for v in lnu.tolist()])
-        d = np.log1p(z[hi] / u[hi]) / lnu[at]
-        out[hi] = scale[at] * np.expm1(-rho * np.log1p(d))
-        lo = ~hi
-        out[lo] = _piece(u[lo] + z[lo], 0) - _piece(u[lo], 0)
-        return out if out.ndim else out[()]
-
-    return TestFunction(
-        g=lambda u: _piece(u, 0),
-        g1=lambda u: _piece(u, 1),
-        g2=lambda u: _piece(u, 2),
-        jump_delta=_delta,
     )
 
 
@@ -354,24 +266,6 @@ def phi_by_quadrature(model: ValidatedModel, u: float,
                  + float(model.a2(u)) * moment + t_atoms)
 
 
-def k_rho(u: float, z, rho: float):
-    """Curvature kernel at state u > 3 for jump sizes z >= 0.
-
-    With d = ln(1+z/u)/ln(u) and y = 1+d the kernel is
-    y^(-rho) + rho y - (rho+1), which is nonnegative and vanishes only at
-    z = 0.  With w = rho log1p(d) it splits into two nonnegative brackets,
-    [e^(-w) - 1 + w] + rho [d - log1p(d)], each evaluated without
-    cancellation: the second by ``x_minus_log1p``, the first by its
-    series on expm1(-w) where that is small and as a plain sum above.
-    """
-    _check_k_points("k_rho", [u], [rho])
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("jump sizes must be >= 0")
-    out = _k_kernel(z_arr, u, math.log(u), rho)
-    return float(out) if out.ndim == 0 else out
-
-
 def _check_k_points(name, us, rhos):
     if not all(u > 3.0 for u in us):
         raise ValueError(f"{name} requires u > 3, got {min(us)}")
@@ -386,7 +280,16 @@ def _logs(us):
 
 
 def _k_kernel(z, u, lnu, rho):
-    """k_rho elementwise, with lnu = ln u (see ``k_rho``)."""
+    """Curvature kernel k_rho(u, z) elementwise, for u > 3, jump sizes
+    z >= 0 and lnu = ln u.
+
+    With d = ln(1+z/u)/ln(u) and y = 1+d the kernel is
+    y^(-rho) + rho y - (rho+1), which is nonnegative and vanishes only at
+    z = 0.  With w = rho log1p(d) it splits into two nonnegative brackets,
+    [e^(-w) - 1 + w] + rho [d - log1p(d)], each evaluated without
+    cancellation: the second by ``x_minus_log1p``, the first by its
+    series on expm1(-w) where that is small and as a plain sum above.
+    """
     d = np.log1p(z / u) / lnu
     w = rho * np.log1p(d)
     x = np.expm1(-w)

@@ -32,6 +32,7 @@ __all__ = [
     "extinction_explosion_rates",
     "sweep",
     "SWEEP_COLUMNS",
+    "SWEEP_PARAMS",
     "MIN_PATHS",
 ]
 
@@ -52,8 +53,10 @@ _BLOCK = 16384
 # engine counters of a block, summed over blocks
 _COUNTERS = ("iterations", "lane_steps")
 
-SWEEP_COLUMNS = ("r0", "r1", "r2", "alpha", "b0", "b1", "b2", "x0", "a", "t",
-                 "predicted", "p_hat", "ci_low", "ci_high", "n_paths", "seed")
+# the parameters a sweep row prints, each of which a grid column may set
+SWEEP_PARAMS = ("r0", "r1", "r2", "alpha", "b0", "b1", "b2", "x0", "a", "t")
+SWEEP_COLUMNS = SWEEP_PARAMS + ("predicted", "p_hat", "ci_low", "ci_high",
+                                "n_paths", "seed")
 
 
 def wilson_interval(successes: int, n: int,
@@ -217,8 +220,7 @@ class SweepRow:
             e = self.estimate
             tail = [fmt(e.p_hat), fmt(e.ci95_low), fmt(e.ci95_high),
                     str(e.n_paths), str(seed)]
-        return [fmt(p.get(k, 0.0)) for k in
-                ("r0", "r1", "r2", "alpha", "b0", "b1", "b2", "x0", "a", "t")] \
+        return [fmt(p.get(k, 0.0)) for k in SWEEP_PARAMS] \
             + [self.predicted] + tail
 
 

@@ -28,7 +28,7 @@ from nlbranch.montecarlo import (
 from nlbranch.numerics import StreamBundle, gamma
 from nlbranch.simulator import SimConfig, martingale_residual
 from nlbranch.simulator import _Engine
-from test_simulator import cms_one_sided_stable
+from oracles import cms_one_sided_stable
 
 _TIMINGS = {}
 

@@ -9,7 +9,7 @@ import pytest
 
 from nlbranch.cli import build_parser, main
 from nlbranch.criteria import classify
-from nlbranch.config import ConfigError, config_echo, parse_config_text
+from nlbranch.config import ConfigError, RunConfig, config_echo, parse_config_text
 from nlbranch.model import StableMeasure
 
 GBM_CONFIG = """
@@ -73,8 +73,9 @@ def write(tmp_path, name, text):
 def test_parse_config_resolves_expressions():
     rc = parse_config_text(JUMP_CONFIG)
     from nlbranch.numerics import gamma
-    assert rc.model_params["a0"]["b"] == pytest.approx(gamma(1.5), rel=1e-15)
-    assert rc.model_params["a2"]["b"] == pytest.approx(1.0, rel=1e-15)
+    echo = config_echo(rc)["model"]
+    assert echo["a0"]["b"] == pytest.approx(gamma(1.5), rel=1e-15)
+    assert echo["a2"]["b"] == pytest.approx(1.0, rel=1e-15)
     from nlbranch.model import critical_deficit
     assert critical_deficit(rc.model).is_critical
 
@@ -229,6 +230,17 @@ def test_config_round_trip():
                                        rc.output_path, rc.output_format)
 
 
+def test_config_echo_describes_a_hand_built_run_config():
+    # the echo describes the model itself: a RunConfig built in code, not
+    # parsed from a run file, echoes the model its run file echoes
+    rc = parse_config_text(JUMP_CONFIG)
+    built = RunConfig(model=rc.model, sim=rc.sim)
+    echo = config_echo(built)["model"]
+    assert echo == config_echo(rc)["model"]
+    assert echo["a2"] == {"type": "powerlaw", "b": rc.model.spec.a2.b,
+                          "r": 1.5}
+
+
 def test_config_default_cap_is_the_simulator_default():
     from nlbranch.simulator import SimConfig
     rc = parse_config_text(GBM_CONFIG)
@@ -332,12 +344,19 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["classify"]) == 1
     assert main(["classfy", "--config", "run.ini"]) == 1
     assert "usage:" in capsys.readouterr().err
-    # only simulate and sweep write CSV: classify and passage refuse
-    # --format rather than write JSON under it
-    for args in (["classify"], ["passage", "--x0", "10", "--a", "1",
-                                "--t", "1"]):
-        assert main(args + ["--config", "run.ini", "--format", "csv"]) == 1
-        assert "unrecognized arguments: --format csv" in \
+    # each subcommand takes only the options it reads: only simulate and
+    # sweep write CSV, so classify and passage refuse --format rather than
+    # write JSON under it; classify draws no paths, so it takes neither
+    # --seed nor --threads, and simulate draws one path on one thread
+    passage = ["passage", "--x0", "10", "--a", "1", "--t", "1"]
+    simulate = ["simulate", "--x0", "10"]
+    for args, flag in ((["classify"], ["--format", "csv"]),
+                       (passage, ["--format", "csv"]),
+                       (["classify"], ["--seed", "3"]),
+                       (["classify"], ["--threads", "2"]),
+                       (simulate, ["--threads", "2"])):
+        assert main(args + ["--config", "run.ini", *flag]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
             capsys.readouterr().err
 
 
@@ -434,6 +453,23 @@ def test_cli_simulate_names_a_path_cut_off_by_the_step_budget(tmp_path,
                            f"t = {t_last!r}"]
         else:
             assert t_last == pytest.approx(2.0) and err == []
+
+
+@pytest.mark.parametrize("command, query", [
+    ("classify", []),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "1"]),
+])
+def test_cli_json_only_commands_refuse_a_csv_format(tmp_path, capsys,
+                                                    command, query):
+    # classify and passage have no CSV form: a run file asking for one
+    # exits 1 and names the key, where it used to exit 0 and write JSON
+    cfg = write(tmp_path, "gbm.ini",
+                GBM_CONFIG.replace("format = json", "format = csv"))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, *query, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [output] format: {command} writes JSON only\n"
+    assert not out.exists()
 
 
 # a start or a horizon no path can run from: (command, query, the

@@ -14,10 +14,7 @@ from nlbranch.criteria import (
     generator_values,
     h_rho,
     k_integral_bounds,
-    k_rho,
-    linear_test_function,
     ln_test_function,
-    log_power_test_function,
     nested_jump_moment,
     phi,
     phi_by_quadrature,
@@ -29,6 +26,7 @@ from nlbranch.criteria import _LARGE_U_GRID as LARGE_U_GRID
 from nlbranch.criteria import _SMALL_U_GRID as SMALL_U_GRID
 from nlbranch.model import FiniteMeasure, ModelSpec, PowerLaw, StableMeasure, Tabulated, validate
 from nlbranch.numerics import gamma
+from oracles import k_rho, linear_test_function, log_power_test_function
 
 
 def make_model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from nlbranch.criteria import generator_values, linear_test_function, ln_test_function
+from nlbranch.criteria import generator_values, ln_test_function
 from nlbranch.model import (
     FiniteMeasure,
     ModelSpec,
@@ -25,6 +25,7 @@ from nlbranch.simulator import (
     trace_path,
 )
 from nlbranch.numerics import gamma
+from oracles import cms_one_sided_stable, linear_test_function
 
 
 def one_lane(seed, stream_id=0):
@@ -258,20 +259,6 @@ def test_adaptive_stable_steps_keep_the_scale_target():
 
 # ---------------------------------------------------------------------------
 # one-step distribution vs an independent stable sampler
-
-
-def cms_one_sided_stable(alpha: float, n: int, rng: np.random.Generator):
-    """Independent oracle: spectrally positive stable increments with
-    Laplace transform exp(s**alpha), by the classical trigonometric
-    construction from a uniform angle and an exponential clock."""
-    B = math.atan(math.tan(math.pi * alpha / 2.0)) / alpha
-    S = (1.0 + math.tan(math.pi * alpha / 2.0) ** 2) ** (1.0 / (2.0 * alpha))
-    V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    W = rng.exponential(1.0, n)
-    X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
-         * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
-    sigma = abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
-    return sigma * X
 
 
 def test_cms_oracle_matches_laplace_transform():
