@@ -192,10 +192,12 @@ def _read_grid(path: str) -> List[Dict[str, float]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError("grid", "", f"{path}: empty grid file")
-        for name in reader.fieldnames:
+        for i, name in enumerate(reader.fieldnames):
             if name.strip() not in SWEEP_PARAMS:
                 raise ConfigError("grid", name, "unknown column; known: "
                                   + ", ".join(SWEEP_PARAMS))
+            if name.strip() in (n.strip() for n in reader.fieldnames[:i]):
+                raise ConfigError("grid", name.strip(), "repeated column")
         for row in reader:
             if None in row:   # DictReader's key for values past the header
                 raise ConfigError("grid", "", f"{path} line {reader.line_num}:"

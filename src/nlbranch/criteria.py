@@ -28,8 +28,9 @@ routes the tests check the closed forms against.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -411,14 +412,27 @@ def generator_values(model: ValidatedModel, g: TestFunction, us,
 # classification
 
 
+class _BuiltOnRead:
+    """The evidence field: a dict, or a function building it on first read."""
+
+    def __get__(self, report, owner=None):
+        if report is not None and callable(report._evidence):
+            report._evidence = report._evidence()
+        return dict if report is None else report._evidence  # default: {}
+
+    def __set__(self, report, value):
+        report._evidence = value
+
+
 @dataclass
 class BoundaryReport:
-    """Verdicts for the four boundary behaviors plus their evidence."""
+    """Verdicts for the four boundary behaviors plus their evidence, built on
+    its first read, once per report: verdict-only callers never build it."""
     no_extinction: Verdict
     no_explosion: Verdict
     infinity_behavior: InfinityBehavior
     method: str  # always "symbolic": every model is decided exactly
-    evidence: Dict = field(default_factory=dict)
+    evidence: Dict = _BuiltOnRead()
 
     def to_dict(self) -> Dict:
         return {
@@ -581,9 +595,9 @@ def classify(model: ValidatedModel) -> BoundaryReport:
     Every model is decided exactly, with no quadrature: each rate is a
     short sum of powers near zero and near infinity, so the verdicts are
     read from the leading terms of phi's expansions at each end and from
-    the growth order of h_rho.  The evidence prints phi's values on two
-    fixed grids of small and large states, each nonzero rate called once
-    on both.
+    the growth order of h_rho.  The evidence, built on its first read,
+    prints phi's values on two fixed grids of small and large states, each
+    nonzero rate called once on both.
     """
     zero_rates, inf_rates = _rate_ends(model)
     (zero, zero_cut), (inf, inf_cut) = _phi_expansions(model, zero_rates,
@@ -594,7 +608,6 @@ def classify(model: ValidatedModel) -> BoundaryReport:
     sign_inf = _leading_sign(terms_inf, inf_cut, False)
     growth = _h_growth(model, inf_rates)
     h_superlog = growth is not None and growth[0] > _EXPONENT_TOL
-    h_bounded = not h_superlog
 
     no_extinction = (Verdict.HOLDS if sign_zero is not None and sign_zero <= 0
                      else Verdict.INCONCLUSIVE)
@@ -604,7 +617,7 @@ def classify(model: ValidatedModel) -> BoundaryReport:
     if sign_inf is None:
         infinity = InfinityBehavior.INCONCLUSIVE
         gap = "phi's terms near infinity cancel to every order carried"
-    elif sign_inf <= 0 and h_bounded:
+    elif sign_inf <= 0 and not h_superlog:
         infinity = InfinityBehavior.STAYS_INFINITE
     elif sign_inf >= 0 and h_superlog:
         infinity = InfinityBehavior.COMES_DOWN_FROM_INFINITY
@@ -613,23 +626,28 @@ def classify(model: ValidatedModel) -> BoundaryReport:
         side, h = (">", "bounded") if sign_inf > 0 else ("<", "superlogarithmic")
         gap = f"the rules leave a gap: phi {side} 0 near infinity with h_rho {h}"
 
+    return BoundaryReport(no_extinction, no_explosion, infinity, "symbolic",
+                          partial(_evidence, model, terms_zero, terms_inf,
+                                  sign_zero, sign_inf, growth, h_superlog, gap))
+
+
+def _evidence(model, zero, inf, sign_zero, sign_inf, growth, superlog, gap):
+    """``classify``'s evidence from its decision, with phi on the grid."""
     # the grid's values only; one that overflows reads inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         t0, t1, t2, t3 = _phi_terms(model, _PHI_GRID)
         phis = [[u, v] for u, v in zip(_SMALL_U_GRID + _LARGE_U_GRID,
                                        (t0 + t1 + t2 + t3).tolist())]
-    evidence = {
-        "phi_terms": {"near_zero": [list(t) for t in terms_zero],
-                      "near_infinity": [list(t) for t in terms_inf]},
+    return {
+        "phi_terms": {"near_zero": [list(t) for t in zero],
+                      "near_infinity": [list(t) for t in inf]},
         "phi_sign_near_zero": sign_zero,
         "phi_sign_near_infinity": sign_inf,
         "h_growth": None if growth is None else list(growth),
-        "h_bounded": h_bounded,
-        "h_superlogarithmic": h_superlog,
+        "h_bounded": not superlog,
+        "h_superlogarithmic": superlog,
         "infinity_gap": gap,
         "rho": None,
         "phi_small": phis[:len(_SMALL_U_GRID)],
         "phi_large": phis[len(_SMALL_U_GRID):],
     }
-    return BoundaryReport(no_extinction, no_explosion, infinity,
-                          "symbolic", evidence)

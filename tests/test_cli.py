@@ -595,7 +595,8 @@ def test_cli_sweep_rejects_too_few_paths(tmp_path, capsys):
 @pytest.mark.parametrize("header, body, key, message", [
     ("r_1,x0,a,t", "3.0,100,1,1", "r_1", "unknown column; known: r0, r1,"),
     ("r0,r1", "1.0,2.0,3.0", "", "more values than columns"),
-], ids=["misspelt column", "extra value"])
+    ("r1, r1 ,x0", "1.5,2.5,10", "r1", "repeated column"),
+], ids=["misspelt column", "extra value", "repeated column"])
 def test_cli_sweep_rejects_a_grid_it_cannot_read(tmp_path, capsys, header,
                                                  body, key, message):
     cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)

@@ -951,13 +951,62 @@ def test_symbolic_classify_calls_each_rate_once(monkeypatch):
 
     monkeypatch.setattr(PowerLaw, "__call__", counted)
     rep = classify(make_model(**MIXED_CRITICAL))
+    rep.evidence
     assert rep.method == "symbolic"
     assert len(calls) <= 4
     assert set(calls) == {len(SMALL_U_GRID) + len(LARGE_U_GRID)}
     # a zero rate is not called: the README model calls a0 and a2 only
     calls.clear()
-    classify(_readme_model())
+    classify(_readme_model()).evidence
     assert calls == [len(SMALL_U_GRID) + len(LARGE_U_GRID)] * 2
+
+
+def _count_rate_calls(monkeypatch):
+    """Record (rate, number of states) of every PowerLaw and Tabulated call."""
+    calls = []
+    for cls in (PowerLaw, Tabulated):
+        def counted(self, u, rate=cls.__call__):
+            calls.append((id(self), np.size(u)))
+            return rate(self, u)
+        monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+def test_classify_alone_calls_no_rate(monkeypatch):
+    calls = _count_rate_calls(monkeypatch)
+    for model in _grid_models():
+        rep = classify(model)
+        assert rep.method == "symbolic" and rep.infinity_behavior
+    assert calls == []
+
+
+def test_evidence_is_built_on_its_first_read_only(monkeypatch):
+    calls = _count_rate_calls(monkeypatch)
+    for model in _grid_models():
+        rep = classify(model)
+        spec = model.spec
+        nonzero = [id(r) for r in (spec.a0, spec.a1, spec.a2, spec.a3)
+                   if not r.is_zero]
+        calls.clear()
+        first = rep.evidence
+        assert sorted(calls) == sorted(
+            (r, len(SMALL_U_GRID) + len(LARGE_U_GRID)) for r in nonzero)
+        calls.clear()
+        assert rep.evidence is first and rep.to_dict()["evidence"] is first
+        assert calls == []
+
+
+def test_pickled_report_gives_the_same_dict(monkeypatch):
+    # a report pickled before its evidence is read carries the model and
+    # builds the evidence after it is restored
+    import pickle
+    calls = _count_rate_calls(monkeypatch)
+    for model in _grid_models():
+        calls.clear()
+        restored = pickle.loads(pickle.dumps(classify(model)))
+        assert calls == []
+        assert restored.to_dict() == classify(model).to_dict()
+        assert restored == classify(model)
 
 
 @pytest.mark.parametrize("params", [JUMP_CRITICAL, MIXED_CRITICAL,

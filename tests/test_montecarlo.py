@@ -215,6 +215,27 @@ def test_sweep_invalid_point_flagged_not_fatal():
     assert rows[2].error is None
 
 
+def test_sweep_predictions_call_no_rate(monkeypatch):
+    # the predicted column reads verdicts only, so classify builds no
+    # evidence, and fixed steps of power laws step ln X without rates
+    calls = []
+    rate = PowerLaw.__call__
+
+    def counted(self, u):
+        calls.append(np.size(u))
+        return rate(self, u)
+
+    monkeypatch.setattr(PowerLaw, "__call__", counted)
+    template = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, x0=10.0, a=1.0, t=0.1)
+    rows = sweep(template, [dict(r0=0.5, r1=1.5), dict(r0=1.5, r1=2.5)],
+                 SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=0.1),
+                 n_paths=100, seed=1)
+    assert [r.predicted for r in rows] == ["stays_infinite",
+                                           "comes_down_from_infinity"]
+    assert all(r.estimate is not None for r in rows)
+    assert calls == []
+
+
 def test_sweep_empty_grid():
     rows = sweep(dict(), [], SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0),
                  n_paths=100, seed=0)
