@@ -118,6 +118,8 @@ def _load(args) -> RunConfig:
     ``--format`` option has no CSV form, and refuses one from the file."""
     rc = parse_config(args.config)
     if getattr(args, "seed", None) is not None:
+        if not 0 <= args.seed < 2 ** 64:
+            raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
         rc.seed = args.seed
     if args.out:
         rc.output_path = args.out
@@ -427,8 +429,9 @@ def main(argv=None) -> int:
     first call and reused, and no call sees another's arguments.
     ``sweep`` writes ``row <index>: <error>`` to stderr for each failed
     row and still exits 0; a grid column outside ``SWEEP_PARAMS`` exits
-    1.  ``--threads``, ``NLBRANCH_THREADS`` and ``[mc] threads`` below 1
-    exit 1, naming the source.
+    1.  ``--threads``, ``NLBRANCH_THREADS`` and ``[mc] threads`` below 1,
+    and ``--seed`` or ``[mc] seed`` outside [0, 2**64), exit 1, naming the
+    source.
     """
     try:
         args = build_parser().parse_args(argv)

@@ -210,9 +210,9 @@ def parse_config_text(text: str) -> RunConfig:
     alpha = _as_float("model", "alpha", _get(cp, "model", "alpha", required=True))
     u_max_raw = _get(cp, "model", "u_max", default="inf")
     u_max = None
-    if u_max_raw not in ("inf", "none", ""):
+    if u_max_raw not in ("none", ""):
         u_max = _as_float("model", "u_max", u_max_raw)
-        if not math.isfinite(u_max):
+        if u_max == math.inf:   # nan and -inf fail the model's check
             u_max = None
 
     a0 = _parse_rate(cp, "model.a0", alpha, required=True)
@@ -238,6 +238,9 @@ def parse_config_text(text: str) -> RunConfig:
     if rc.threads < 1:
         raise ConfigError("mc", "threads",
                           f"threads must be >= 1, got {rc.threads}")
+    if not 0 <= rc.seed < 2 ** 64:
+        raise ConfigError("mc", "seed",
+                          f"seed must be in [0, 2**64), got {rc.seed}")
     if rc.n_paths < MIN_PATHS:
         raise ConfigError("mc", "n_paths",
                           f"n_paths must be >= {MIN_PATHS}, got {rc.n_paths}")

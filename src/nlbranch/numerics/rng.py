@@ -46,8 +46,9 @@ def _mix(z, tmp=None):
 
 def _derive_keys(seed, stream_ids):
     # arrays throughout: numpy integer arrays wrap modulo 2^64 silently,
-    # scalar numpy ints would emit overflow warnings
-    s = _mix(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) + _GOLD)
+    # scalar numpy ints would emit overflow warnings; a seed outside
+    # [0, 2^64) raises OverflowError here rather than alias another
+    s = _mix(np.array([seed], dtype=np.uint64) + _GOLD)
     sid = np.asarray(stream_ids, dtype=np.uint64)
     k1 = _mix(s ^ (sid * _SALT + _M2))
     k2 = _mix(k1 + _GOLD)

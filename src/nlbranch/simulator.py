@@ -9,11 +9,13 @@ x-space Euler increment of everything but the diffusion.  On the full
 support U = (0, inf) this heavy-jump part is exact under frozen rates:
 S is spectrally positive stable, E exp(-lam S) = exp(lam^alpha), one
 Chambers-Mallows-Stuck draw from two uniforms.  A support cut at u_max
-splits it at a cutoff eps instead: a Poisson count of inverse-CDF tail
-draws above eps, a variance-matched Gaussian N2 below it and the
-compensation drift -a2(X) m_eps.  The atoms are a Poisson count of
-inverse-CDF draws from nu; both jump kinds add each lane's draws in
-jump order, whatever the other lanes of the block draw.
+splits it at a cutoff eps^(-alpha) = u_max^(-alpha) + alpha K / (c a2(X) dt)
+that each lane takes from its step: a Poisson(K = 1) count of
+inverse-CDF tail draws above eps, a variance-matched Gaussian N2 below
+it and the compensation drift -a2(X) m_eps (Asmussen and Rosinski 2001),
+so dt is the only knob.  The atoms are a Poisson count of inverse-CDF
+draws from nu; both jump kinds add each lane's draws in jump order,
+whatever the other lanes of the block draw.
 
 So y' = y + log1p(R) + s N1 - log1p(s^2 / 2).  The diffusion factor is the
 exact log-Gaussian one under frozen log-variance, and the drift enters as
@@ -32,8 +34,8 @@ With ``adaptive`` the per-lane step comes from the local law of y: the
 standard deviation of y per step stays below max(0.14, d/10), where d is
 the distance in y to the nearest level (crossing barrier, cap or
 positive zero floor), its drift below a tenth of that, the stable scale
-(a2 dt)^(1/alpha)/x, linear in x, below 0.14, and the expected count of
-cut-support heavy jumps and atoms per step below 0.01.
+(a2 dt)^(1/alpha)/x below 0.14, which bounds every a2 term, and the
+expected count of atoms per step below 0.01.
 
 Barrier crossings are detected at grid points only, which biases passage
 probabilities low: from x0 = 100 to a = 1 by t = 1 with a0 = x^2,
@@ -74,13 +76,16 @@ __all__ = [
 # adaptive step targets: per-step s.d. of the log-state near a level, the
 # fraction of the distance to the nearest level allowed further away
 # (also the drift per step as a fraction of the s.d.), and the expected
-# jump count per step
+# atom count per step
 _LOG_SD = 0.14
 _FAR = 0.1
 _JUMPS_PER_STEP = 0.01
 
-# floor of the jump-count limit on the adaptive step; together with the
-# step budget it guards against a stalled clock when jumps are dense but
+# expected heavy jumps per lane-step on a cut support: sets the cutoff
+_HEAVY_JUMPS = 1.0
+
+# floor of the atom-count limit on the adaptive step; together with the
+# step budget it guards against a stalled clock when atoms are dense but
 # small.  The log-variance and drift limits are not floored: each of
 # their steps moves y by a resolvable amount, so the lanes they slow
 # still finish, however close the cap.
@@ -101,13 +106,12 @@ _LOG_SCALE_MAX = 700.0
 class SimConfig:
     """Discretization and truncation controls.
 
-    ``eps_cut`` is the small-jump cutoff of a stable support cut at u_max
-    (full support takes one exact draw per step); ``eps_rule`` "relative"
-    scales it to ``eps_cut * X``, bounding the jumps per step over decades.
-    ``adaptive`` shrinks the step per lane from the local law of the
-    log-state (see the module docstring).  ``cap_b`` is the explosion
-    proxy; its default lies far beyond any level a non-explosive model
-    reaches, while keeping the state a float.
+    ``eps_cut`` and ``eps_rule`` are checked but read by nothing, so that
+    run files and callers that set them still load: a cut support takes
+    its jump cutoff from each step.  ``adaptive`` shrinks the step per
+    lane from the local law of the log-state (see the module docstring).
+    ``cap_b`` is the explosion proxy; its default lies far beyond any
+    level a non-explosive model reaches, while keeping the state a float.
     """
     dt: float = 1e-3
     eps_cut: float = 1e-4
@@ -285,8 +289,8 @@ class _Engine:
                                               cfg.floor_zero)
                                   if 0.0 < v < np.inf])
 
-    def _adaptive_dt(self, y, drift, var, jump_rate, stable):
-        """Largest step within the log-state and jump-count targets."""
+    def _adaptive_dt(self, y, drift, var, stable, rate_nu):
+        """Largest step within the log-state and atom-count targets."""
         dist = np.inf
         for level in self.log_levels:
             dist = np.minimum(dist, np.abs(y - level))
@@ -297,20 +301,12 @@ class _Engine:
                 lim = sd * sd / var
             if not _zero(drift):
                 lim = np.minimum(lim, _FAR * sd / np.abs(drift))
-            if self.stable:  # linear in x: the near-level target anywhere
+            if self.a2_active:  # linear in x: the near-level target anywhere
                 lim = np.minimum(lim, _LOG_SD ** self.alpha / stable)
-            if not _zero(jump_rate):
+            if not _zero(rate_nu):
                 lim = np.minimum(lim, np.maximum(
-                    np.divide(_JUMPS_PER_STEP, jump_rate), _DT_FLOOR))
+                    np.divide(_JUMPS_PER_STEP, rate_nu), _DT_FLOOR))
         return lim
-
-    def _heavy_jump(self, eps, u):
-        """Inverse-CDF draw from the cut stable tail above the cutoff."""
-        a = self.alpha
-        um = self.model.u_max
-        lo = eps ** (-a)
-        hi = um ** (-a)
-        return (lo - u * (lo - hi)) ** (-1.0 / a)
 
     def _atom(self, u):
         """Inverse-CDF draw of an atom location from the normalized nu."""
@@ -340,34 +336,17 @@ class _Engine:
         scaled = _Scaled(x)
         mu = scaled(spec.a0, 1.0)
         var = scaled(spec.a1, 2.0)
-        stable = rate_big = comp = var_jump = 0.0
-        if self.stable:
-            stable = scaled(spec.a2, self.alpha)
-        elif self.a2_active:
-            # per-lane cutoff, then heavy-jump rate, compensation drift
-            # over x and small-jump variance over x**2
-            eps = cfg.eps_cut * x if cfg.eps_rule == "relative" \
-                else np.full_like(x, cfg.eps_cut)
-            lam, m, s2 = _cutoff_terms(self.alpha, self.model.c_alpha, eps,
-                                       self.model.u_max)
-            rate_big, comp, var_jump = (lam * scaled(spec.a2, 0.0),
-                                        m * scaled(spec.a2, 1.0),
-                                        s2 * scaled(spec.a2, 2.0))
+        stable = scaled(spec.a2, self.alpha) if self.a2_active else 0.0
         rate_nu = scaled(spec.a3, 0.0) * self.nu_mass if self.nu_active \
             else 0.0
 
         dt = cfg.dt
         if cfg.adaptive:
-            # variance and drift of y (between cut-support heavy jumps)
-            var_y = var if _zero(var_jump) else var + var_jump
-            drift_y = mu
-            for term in (comp, 0.5 * var_y, self.model.gamma_alpha * stable):
-                if not _zero(term):
-                    drift_y = drift_y - term
-            jump_rate = rate_big if _zero(rate_nu) else (
-                rate_nu if _zero(rate_big) else rate_big + rate_nu)
+            drift_y = mu if _zero(var) else mu - 0.5 * var
+            if self.stable:
+                drift_y = drift_y - self.model.gamma_alpha * stable
             dt = np.minimum(dt, self._adaptive_dt(
-                scaled.y, drift_y, var_y, jump_rate, stable))
+                scaled.y, drift_y, var, stable, rate_nu))
         remaining = cfg.horizon_t - t
         hit_horizon = dt >= remaining
         dt = np.where(hit_horizon, remaining, dt)
@@ -378,11 +357,21 @@ class _Engine:
 
         def jumps(rel):
             if self.a2_active and not self.stable:
-                rel = rel - comp * dt + np.sqrt(var_jump * dt) * row[-1]
-                n_big = bundle.poissons(rate_big * dt)
+                # K heavy jumps expected above eps, eps^-a = u_max^-a + gap,
+                # drawn by inverse CDF; none where a2 dt is 0 (or gap
+                # overflows), where eps = u_max leaves nothing below it
+                a, um = self.alpha, self.model.u_max
+                a2dt = np.broadcast_to(scaled(spec.a2, 0.0) * dt, x.shape)
+                with np.errstate(divide="ignore", over="ignore"):
+                    gap = a * _HEAVY_JUMPS / (self.model.c_alpha * a2dt)
+                hot = gap < np.inf
+                eps = np.where(hot, (um ** -a + gap) ** (-1.0 / a), um)
+                _, m, s2 = _cutoff_terms(a, self.model.c_alpha, eps, um)
+                rel = rel + (np.sqrt(s2 * a2dt) * row[-1] - m * a2dt) / x
                 rel = rel + _jump_sums(
-                    bundle, n_big,
-                    lambda u, lanes: self._heavy_jump(eps[lanes], u)) / x
+                    bundle, bundle.poissons(_HEAVY_JUMPS * hot),
+                    lambda u, lanes: (um ** -a + (1.0 - u) * gap[lanes])
+                    ** (-1.0 / a)) / x
             if self.nu_active:
                 n_nu = bundle.poissons(rate_nu * dt)
                 rel = rel + _jump_sums(bundle, n_nu,

@@ -107,7 +107,7 @@ def test_criterion_04_corollary_phase_diagram():
 def test_criterion_05_gbm_passage_oracle():
     started = time.monotonic()
     m = make_model(**GBM)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=4.0)
+    cfg = SimConfig(dt=1e-3, horizon_t=4.0)
     est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=4.0,
                                 n_paths=10_000, seed=20240501, threads=1)
     p_true = math.erfc(math.log(10.0) / math.sqrt(8.0) / math.sqrt(2.0))
@@ -128,7 +128,7 @@ def test_criterion_06a_comes_down_passage():
     # cap, which the log-state stepping reaches without overflowing a1.
     started = time.monotonic()
     m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, adaptive=True)
+    cfg = SimConfig(dt=1e-3, horizon_t=1.0, adaptive=True)
     est = estimate_passage_prob(m, cfg, x0=1e6, a=10.0, t=1.0,
                                 n_paths=10_000, seed=7, threads=4)
     _TIMINGS["c6a"] = time.monotonic() - started
@@ -142,7 +142,7 @@ def test_criterion_06a_comes_down_passage():
 def test_criterion_06b_stays_infinite_passage_decay():
     started = time.monotonic()
     m = make_model(**GBM)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0)
+    cfg = SimConfig(dt=1e-3, horizon_t=1.0)
     ps = []
     for x0 in (1e2, 1e3, 1e4):
         est = estimate_passage_prob(m, cfg, x0=x0, a=1.0, t=1.0,
@@ -160,14 +160,13 @@ def test_criterion_06b_stays_infinite_passage_decay():
 def test_criterion_07_no_absorption_in_critical_cases():
     results = []
     m_gbm = make_model(**GBM)
-    cfg_gbm = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=10.0)
+    cfg_gbm = SimConfig(dt=1e-2, horizon_t=10.0)
     r = extinction_explosion_rates(m_gbm, cfg_gbm, x0=1.0, horizon=10.0,
                                    n_paths=10_000, seed=17, threads=4)
     results.append(("diffusion-critical", r.frac_zero, r.frac_capped))
 
     m_jump = make_model(**JUMP)
-    cfg_jump = SimConfig(dt=1e-2, eps_cut=0.05, horizon_t=10.0,
-                         eps_rule="relative", adaptive=True)
+    cfg_jump = SimConfig(dt=1e-2, horizon_t=10.0, adaptive=True)
     r = extinction_explosion_rates(m_jump, cfg_jump, x0=1.0, horizon=10.0,
                                    n_paths=10_000, seed=18, threads=4)
     results.append(("jump-critical", r.frac_zero, r.frac_capped))
@@ -176,7 +175,7 @@ def test_criterion_07_no_absorption_in_critical_cases():
 
     # contrast control: supercritical drift blows up by t=2
     m_ctl = make_model(b0=1.0, r0=2.0)
-    cfg_ctl = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=2.0, cap_b=1e6,
+    cfg_ctl = SimConfig(dt=1e-3, horizon_t=2.0, cap_b=1e6,
                         adaptive=True)
     r_ctl = extinction_explosion_rates(m_ctl, cfg_ctl, x0=1.0, horizon=2.0,
                                        n_paths=1000, seed=19, threads=4)
@@ -206,7 +205,7 @@ def test_criterion_08_stable_increment_distribution():
 
 def test_criterion_09_martingale_residual():
     m = make_model(**GBM)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0)
+    cfg = SimConfig(dt=1e-3, horizon_t=1.0)
     out = martingale_residual(m, cfg, ln_test_function(), x0=10.0, t=1.0,
                               a=1.0, b=1e4, n_paths=10_000, seed=23)
     bound = 3.0 * out["stderr"] + 0.01
@@ -236,7 +235,6 @@ r = 2.0
 
 [sim]
 dt = 1e-2
-eps_cut = 1e-4
 horizon_t = 1.0
 
 [mc]

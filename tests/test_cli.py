@@ -28,7 +28,6 @@ r = 2.0
 
 [sim]
 dt = 1e-2
-eps_cut = 1e-4
 horizon_t = 2.0
 adaptive = true
 
@@ -57,8 +56,6 @@ r = 1.5
 
 [sim]
 dt = 1e-2
-eps_cut = 0.05
-eps_rule = relative
 horizon_t = 1.0
 adaptive = true
 """
@@ -121,6 +118,8 @@ FAILED_CHECKS = [
     ("sim", "step_budget", "0", ">= 1"),
     ("sim", "eps_rule", "proportional", "relative"),
     ("mc", "threads", "0", ">= 1"),
+    ("mc", "seed", "-1", "[0, 2**64)"),
+    ("mc", "seed", str(2 ** 64), "[0, 2**64)"),
     ("mc", "n_paths", "0", ">= 100"),
     ("mc", "n_paths", "99", ">= 100"),
 ]
@@ -134,6 +133,17 @@ def test_parse_config_failed_check_names_its_key(section, key, value, word):
     assert (exc.value.section, exc.value.key) == (section, key)
     assert str(exc.value).startswith(f"[{section}] {key}: {key}")
     assert word in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "-inf", "nan"])
+def test_parse_config_rejects_a_support_cut_that_is_not_positive(value):
+    # only inf (the default) means full support
+    text = GBM_CONFIG.replace("alpha = 1.5\n", "alpha = 1.5\nu_max = {}\n", 1)
+    assert parse_config_text(text.format("inf")).model.u_max is None
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text.format(value))
+    assert (exc.value.section, exc.value.key) == ("model", "u_max")
+    assert "support cut must be positive" in str(exc.value)
 
 
 # a pair list that does not parse: (section, key, value, message)
@@ -165,7 +175,6 @@ def test_parse_config_reads_percent_literally():
 ALL_KEYS_CONFIG = GBM_CONFIG.replace("""
 [sim]
 dt = 1e-2
-eps_cut = 1e-4
 horizon_t = 2.0
 adaptive = true
 """, """
@@ -244,7 +253,7 @@ def test_config_echo_describes_a_hand_built_run_config():
 def test_config_default_cap_is_the_simulator_default():
     from nlbranch.simulator import SimConfig
     rc = parse_config_text(GBM_CONFIG)
-    assert rc.sim.cap_b == SimConfig(dt=1.0, eps_cut=1.0, horizon_t=1.0).cap_b
+    assert rc.sim.cap_b == SimConfig(dt=1.0, horizon_t=1.0).cap_b
     rc = parse_config_text(GBM_CONFIG.replace("adaptive = true",
                                               "adaptive = true\ncap_b = 1e8"))
     assert rc.sim.cap_b == 1e8
@@ -489,6 +498,9 @@ BAD_QUERIES = [
      "threads"),
     ("passage", ["--x0", "10", "--a", "1", "--t", "1", "--threads", "-2"],
      "threads"),
+    ("passage", ["--x0", "10", "--a", "1", "--t", "1", "--seed", "-1"],
+     "--seed"),
+    ("simulate", ["--x0", "10", "--seed", str(2 ** 64)], "--seed"),
 ]
 
 
@@ -693,7 +705,6 @@ r = 2.0
 
 [sim]
 dt = 1e-2
-eps_cut = 1e-4
 horizon_t = 1.0
 """
 
@@ -734,7 +745,6 @@ r = 1.5
 
 [sim]
 dt = 1e-2
-eps_cut = 1e-4
 horizon_t = 1.0
 """
 

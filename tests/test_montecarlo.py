@@ -37,7 +37,7 @@ def test_wilson_interval_basics():
 
 def test_passage_prob_drift_only_upward_is_zero():
     m = make_model(b0=1.0, r0=1.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
                                 n_paths=200, seed=3)
     assert est.p_hat == 0.0
@@ -49,7 +49,7 @@ def test_passage_prob_drift_only_upward_is_zero():
 def test_passage_counts_paths_cut_off_by_the_step_budget():
     # three steps of 1e-2 reach neither the barrier (about 9 s.d. away) nor t
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0, step_budget=3)
+    cfg = SimConfig(dt=1e-2, horizon_t=1.0, step_budget=3)
     est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
                                 n_paths=200, seed=1)
     assert est.p_hat == 0.0
@@ -60,7 +60,7 @@ def test_passage_counts_crossings_on_the_last_step():
     # the run stops at t, so a drop below a on the step that lands on t is
     # a crossing by t; on this grid 243 of 1247 crossings happen there
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=0.25, eps_cut=1e-4, horizon_t=1.0)
+    cfg = SimConfig(dt=0.25, horizon_t=1.0)
     est = estimate_passage_prob(m, cfg, x0=3.0, a=1.0, t=1.0,
                                 n_paths=4000, seed=5)
     out = _run_block(m, cfg, 3.0, 1.0, np.inf,
@@ -77,7 +77,7 @@ def test_passage_counts_engine_steps_summed_over_blocks(monkeypatch):
     import nlbranch.montecarlo as mc
     monkeypatch.setattr(mc, "_BLOCK", 64)
     m = make_model(b0=1.0, r0=1.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
                                 n_paths=200, seed=3)
     assert (est.iterations, est.lane_steps) == (400, 200 * 100)
@@ -88,7 +88,7 @@ def test_passage_counts_engine_steps_summed_over_blocks(monkeypatch):
 
 def test_passage_prob_preconditions():
     m = make_model()
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     with pytest.raises(ValueError):
         estimate_passage_prob(m, cfg, x0=1.0, a=2.0, t=1.0, n_paths=200, seed=0)
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_passage_prob_preconditions():
 
 @pytest.mark.parametrize("n_paths", [0, 99])
 def test_absorption_rates_reject_too_few_paths(n_paths):
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     with pytest.raises(ValueError, match=f"n_paths = {n_paths}"):
         extinction_explosion_rates(make_model(), cfg, x0=2.0, horizon=1.0,
                                    n_paths=n_paths, seed=0)
@@ -110,8 +110,8 @@ def test_runs_reject_a_start_or_horizon_no_path_runs_from():
     # and t in (0, horizon_t]; nan fails both, and each error names its
     # argument
     m = make_model()
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0)
-    floored = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0,
+    cfg = SimConfig(dt=1e-2, horizon_t=1.0)
+    floored = SimConfig(dt=1e-2, horizon_t=1.0,
                         floor_zero=2.0, cap_b=1e3)
     starts = [(cfg, x0) for x0 in (-5.0, 0.0, math.nan, math.inf)]
     starts += [(floored, x0) for x0 in (1.5, 2.0, 1e3, 5e3)]
@@ -135,7 +135,7 @@ def test_passage_prob_gbm_oracle_small():
     # log state is a driftless Brownian motion with variance 2t: the
     # reflection principle gives p = erfc(ln(x0/a) / (2 sqrt t))
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=8.0)
+    cfg = SimConfig(dt=1e-3, horizon_t=8.0)
     est = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=4.0,
                                 n_paths=2000, seed=11)
     p_true = math.erfc(math.log(10.0) / math.sqrt(8.0) / math.sqrt(2.0))
@@ -147,7 +147,7 @@ def test_passage_prob_deterministic_across_threads(monkeypatch):
     import nlbranch.montecarlo as mc
     monkeypatch.setattr(mc, "_BLOCK", 1024)
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     ests = [estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=1.0,
                                   n_paths=9000, seed=42, threads=k)
             for k in (1, 2, 8)]
@@ -157,7 +157,7 @@ def test_passage_prob_deterministic_across_threads(monkeypatch):
 def test_extinction_explosion_rates_blowup_control():
     # dx = x^2 dt from 1 blows up at t=1: every path caps by t=2
     m = make_model(b0=1.0, r0=2.0)
-    cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=2.0, cap_b=1e6,
+    cfg = SimConfig(dt=1e-3, horizon_t=2.0, cap_b=1e6,
                     adaptive=True)
     rates = extinction_explosion_rates(m, cfg, x0=1.0, horizon=2.0,
                                        n_paths=200, seed=1)
@@ -168,7 +168,7 @@ def test_extinction_explosion_rates_blowup_control():
 
 def test_extinction_explosion_rates_critical_gbm():
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=3.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=3.0)
     rates = extinction_explosion_rates(m, cfg, x0=1.0, horizon=3.0,
                                        n_paths=500, seed=10)
     assert rates.frac_zero == 0.0
@@ -178,7 +178,7 @@ def test_extinction_explosion_rates_critical_gbm():
 
 def test_absorption_rates_count_paths_cut_off_by_the_step_budget():
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0, step_budget=3)
+    cfg = SimConfig(dt=1e-2, horizon_t=1.0, step_budget=3)
     rates = extinction_explosion_rates(m, cfg, x0=1.0, horizon=1.0,
                                        n_paths=200, seed=1)
     assert (rates.frac_zero, rates.frac_capped) == (0.0, 0.0)
@@ -191,8 +191,7 @@ def test_sweep_phase_diagram_predictions():
     grid = []
     for r1 in (1.5, 2.0, 2.5, 3.0):
         grid.append(dict(r0=r1 - 1.0, r1=r1))
-    rows = sweep(template, grid, SimConfig(dt=1e-2, eps_cut=1e-4,
-                                           horizon_t=2.0),
+    rows = sweep(template, grid, SimConfig(dt=1e-2, horizon_t=2.0),
                  n_paths=0, seed=7)
     preds = [r.predicted for r in rows]
     assert preds == ["stays_infinite", "stays_infinite",
@@ -206,8 +205,7 @@ def test_sweep_invalid_point_flagged_not_fatal():
     template = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.0, r2=0.0,
                     alpha=1.5, x0=10.0, a=1.0, t=0.5)
     grid = [dict(), dict(alpha=2.5), dict(r1=3.0)]
-    rows = sweep(template, grid, SimConfig(dt=1e-2, eps_cut=1e-4,
-                                           horizon_t=1.0),
+    rows = sweep(template, grid, SimConfig(dt=1e-2, horizon_t=1.0),
                  n_paths=200, seed=7)
     assert rows[0].error is None and rows[0].estimate is not None
     assert rows[1].predicted == "invalid" and rows[1].estimate is None
@@ -228,7 +226,7 @@ def test_sweep_predictions_call_no_rate(monkeypatch):
     monkeypatch.setattr(PowerLaw, "__call__", counted)
     template = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, x0=10.0, a=1.0, t=0.1)
     rows = sweep(template, [dict(r0=0.5, r1=1.5), dict(r0=1.5, r1=2.5)],
-                 SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=0.1),
+                 SimConfig(dt=1e-2, horizon_t=0.1),
                  n_paths=100, seed=1)
     assert [r.predicted for r in rows] == ["stays_infinite",
                                            "comes_down_from_infinity"]
@@ -237,7 +235,7 @@ def test_sweep_predictions_call_no_rate(monkeypatch):
 
 
 def test_sweep_empty_grid():
-    rows = sweep(dict(), [], SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0),
+    rows = sweep(dict(), [], SimConfig(dt=1e-2, horizon_t=1.0),
                  n_paths=100, seed=0)
     assert rows == []
 
@@ -246,7 +244,7 @@ def test_sweep_rows_are_deterministic_tables():
     template = dict(b0=1.0, r0=1.0, b1=2.0, r1=2.0, b2=0.0, r2=0.0,
                     alpha=1.5, x0=10.0, a=1.0, t=0.5)
     grid = [dict(), dict(r0=2.0, r1=3.0)]
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=1.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=1.0)
     tables = []
     for threads in (1, 4):
         rows = sweep(template, grid, cfg, n_paths=2000, seed=5,
@@ -258,7 +256,7 @@ def test_sweep_rows_are_deterministic_tables():
 
 def test_passage_monotone_in_x0_for_stays_infinite():
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=1e-2, eps_cut=1e-4, horizon_t=2.0)
+    cfg = SimConfig(dt=1e-2, horizon_t=2.0)
     ps = [estimate_passage_prob(m, cfg, x0=x0, a=1.0, t=1.0,
                                 n_paths=3000, seed=8).p_hat
           for x0 in (10.0, 100.0, 1000.0)]
@@ -276,7 +274,7 @@ def test_capped_passage_matches_scale_function_law():
     m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0)
     x0, a, n = 1e4, 10.0, 4000
     for cap in (1e8, 1e12):
-        cfg = SimConfig(dt=1e-3, eps_cut=1e-4, horizon_t=1.0, cap_b=cap,
+        cfg = SimConfig(dt=1e-3, horizon_t=1.0, cap_b=cap,
                         adaptive=True)
         est = estimate_passage_prob(m, cfg, x0=x0, a=a, t=1.0,
                                     n_paths=n, seed=13, threads=4)
@@ -293,7 +291,7 @@ def test_passage_estimate_stable_under_dt_refinement():
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
     est = {}
     for dt in (1e-3, 5e-4):
-        cfg = SimConfig(dt=dt, eps_cut=1e-4, horizon_t=4.0)
+        cfg = SimConfig(dt=dt, horizon_t=4.0)
         est[dt] = estimate_passage_prob(m, cfg, x0=10.0, a=1.0, t=4.0,
                                         n_paths=10_000, seed=29, threads=4)
     width = est[1e-3].ci95_high - est[1e-3].ci95_low
@@ -307,7 +305,7 @@ def test_wilson_interval_coverage_on_gbm_oracle():
     # 95% interval contains the closed-form value in >= 90 of 100
     # independent meta-runs
     m = make_model(b0=1.0, r0=1.0, b1=2.0, r1=2.0)
-    cfg = SimConfig(dt=5e-3, eps_cut=1e-4, horizon_t=4.0)
+    cfg = SimConfig(dt=5e-3, horizon_t=4.0)
     p_true = math.erfc(math.log(10.0) / math.sqrt(8.0) / math.sqrt(2.0))
     hits = 0
     for rep in range(100):

@@ -45,6 +45,14 @@ def test_distinct_streams_differ_and_counter_advances():
     assert s0.counters()[0] == 100
 
 
+def test_seeds_outside_64_bits_are_refused_not_aliased():
+    # -1 would alias 2^64 - 1, and 2^70 would alias 0
+    assert draws(one_lane(2 ** 64 - 1), 3) != draws(one_lane(0), 3)
+    for seed in (-1, 2 ** 64, 2 ** 70):
+        with pytest.raises(OverflowError):
+            one_lane(seed)
+
+
 def test_uniforms_at_fixed_counters_match_their_digest():
     # the words at counters 0-63 and at the top 64 below 2^63, streams 0-7
     # of three seeds (one past 2^63), as little-endian float64: a change to
