@@ -576,10 +576,13 @@ def test_lane_jump_sums_do_not_depend_on_the_block(jumps):
         assert rng.counters()[0] == counters[i]
 
 
-def test_ragged_lanes_equal_single_paths_cut_support_with_atoms():
+@pytest.mark.parametrize("eps_rule", ["absolute", "relative"])
+def test_ragged_lanes_equal_single_paths_cut_support_with_atoms(eps_rule):
+    # either accepted eps_rule: the step sets its own cutoff, and a lane
+    # gives the same bits in a ragged block as alone
     m = make_model(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5,
                    b3=0.3, r3=1.0, u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)])
-    cfg = SimConfig(dt=1e-2, horizon_t=1.0)
+    cfg = SimConfig(dt=1e-2, eps_cut=0.2, horizon_t=1.0, eps_rule=eps_rule)
     block, steps = _assert_lanes_match_single_runs(m, cfg, 3.0, 2.0, 6.0,
                                                    12, 41)
     assert len(set(steps)) >= 8
