@@ -13,9 +13,11 @@ splits it at a cutoff eps^(-alpha) = u_max^(-alpha) + alpha K / (c a2(X) dt)
 that each lane takes from its step: a Poisson(K = 1) count of
 inverse-CDF tail draws above eps, a variance-matched Gaussian N2 below
 it and the compensation drift -a2(X) m_eps (Asmussen and Rosinski 2001),
-so dt is the only knob.  The atoms are a Poisson count of inverse-CDF
-draws from nu; both jump kinds add each lane's draws in jump order,
-whatever the other lanes of the block draw.
+so dt is the only knob.  Atoms add z_j N_j, one exact Poisson(a3(X) w_j
+dt) count per atom location z_j in order, by Poisson splitting the law
+of a Poisson(a3(X) nu(U^c) dt) count of draws from the normalized nu.
+Heavy jumps add each lane's draws in jump order, whatever the other
+lanes of the block draw.
 
 So y' = y + log1p(R) + s N1 - log1p(s^2 / 2).  The diffusion factor is the
 exact log-Gaussian one under frozen log-variance, and the drift enters as
@@ -33,9 +35,10 @@ zero floor (clamped to 0) or at or above the cap it is frozen.
 With ``adaptive`` the per-lane step comes from the local law of y: the
 standard deviation of y per step stays below max(0.14, d/10), where d is
 the distance in y to the nearest level (crossing barrier, cap or
-positive zero floor), its drift below a tenth of that, the stable scale
-(a2 dt)^(1/alpha)/x below 0.14, which bounds every a2 term, and the
-expected count of atoms per step below 0.01.
+positive zero floor), its drift below a tenth of that, and the stable
+scale (a2 dt)^(1/alpha)/x below 0.14, which bounds every a2 term.  The
+variance of y per unit time is a1/x^2 plus the atoms' share,
+a3 sum_j w_j log1p(z_j/x)^2; no count of atoms limits the step.
 
 Barrier crossings are detected at grid points only, which biases passage
 probabilities low: from x0 = 100 to a = 1 by t = 1 with a0 = x^2,
@@ -73,23 +76,16 @@ __all__ = [
     "martingale_residual",
 ]
 
-# adaptive step targets: per-step s.d. of the log-state near a level, the
-# fraction of the distance to the nearest level allowed further away
-# (also the drift per step as a fraction of the s.d.), and the expected
-# atom count per step
+# adaptive step targets: per-step s.d. of the log-state near a level, and
+# the fraction of the distance to the nearest level allowed further away
+# (also the drift per step as a fraction of the s.d.).  No limit is
+# floored: each step moves y by a resolvable amount, so the lanes they
+# slow still finish, however close the cap.
 _LOG_SD = 0.14
 _FAR = 0.1
-_JUMPS_PER_STEP = 0.01
 
 # expected heavy jumps per lane-step on a cut support: sets the cutoff
 _HEAVY_JUMPS = 1.0
-
-# floor of the atom-count limit on the adaptive step; together with the
-# step budget it guards against a stalled clock when atoms are dense but
-# small.  The log-variance and drift limits are not floored: each of
-# their steps moves y by a resolvable amount, so the lanes they slow
-# still finish, however close the cap.
-_DT_FLOOR = 1e-15
 
 # draw-ahead depth when no step draws a Poisson count: k = min(64, 4096
 # // live lanes) steps, so each (k, lanes) slot stays in cache while a
@@ -148,23 +144,21 @@ def _zero(term) -> bool:
 
 def _cutoff_terms(a, c, eps, u_max):
     """Cutoff constants of the stable density c z**(-1-a) on U per unit
-    rate, for a scalar or an array of cutoffs eps: the intensity lam of
-    the jumps above eps, their mean m (also the compensation drift) and
-    the variance sigma2 of the Gaussian stand-in for the jumps below it.
+    rate, for a scalar or an array of cutoffs eps: the mean m of the
+    jumps above eps (also the compensation drift) and the variance
+    sigma2 of the Gaussian stand-in for the jumps below it.
 
-    With full support lam = c eps^-a / a, m = c eps^(1-a) / (a-1) and
-    sigma2 = c eps^(2-a) / (2-a).  A support cut at u_max truncates the
-    tail pieces; a cutoff at or above u_max leaves no heavy jumps.
+    With full support m = c eps^(1-a) / (a-1) and sigma2 = c eps^(2-a) /
+    (2-a).  A support cut at u_max truncates the tail piece; a cutoff at
+    or above u_max leaves no heavy jumps.
     """
-    lam = c * eps ** (-a) / a
     m = c * eps ** (1.0 - a) / (a - 1.0)
     sigma2 = c * eps ** (2.0 - a) / (2.0 - a)
     if u_max is not None:
         cut = eps < u_max
-        lam = np.where(cut, lam - c * u_max ** (-a) / a, 0.0)
         m = np.where(cut, m - c * u_max ** (1.0 - a) / (a - 1.0), 0.0)
         sigma2 = np.where(cut, sigma2, c * u_max ** (2.0 - a) / (2.0 - a))
-    return lam, m, sigma2
+    return m, sigma2
 
 
 def _stable_unit(alpha, u1, u2):
@@ -191,25 +185,15 @@ def _jump_sums(bundle, counts, size):
     """Each lane's sum of its ``counts`` jumps, and the lanes' streams
     advanced past them.
 
-    Jump j of a lane is ``size(u, lanes)`` of the uniform at its counter
-    plus j, ``lanes`` selecting the lane's entries of any per-lane
-    parameter.  Up to 256 jumps per lane the block steps in lockstep, one
-    jump index at a time; above that each lane draws its jumps in one flat
-    pass.  Both add a lane's jumps in jump order, so its sum does not
-    depend on the other lanes of its block.
+    Jump j of a lane is ``size(u)`` of the uniform at its counter plus j.
+    The block steps in lockstep, one jump index at a time, and adds a
+    lane's jumps in jump order, so its sum does not depend on the other
+    lanes of its block.  The counts are Poisson(1), so lockstep costs
+    about what the lanes' own jumps cost.
     """
     sums = np.zeros(counts.shape)
-    top = int(counts.max(initial=0))
-    if top > 256:
-        for k in np.flatnonzero(counts):
-            lane = slice(k, k + 1)
-            u = bundle.uniforms_at(np.arange(counts[k], dtype=np.uint64), lane)
-            # not np.sum: it adds pairwise, in another order
-            sums[k] = np.add.accumulate(size(u, lane))[-1]
-    else:
-        for j in range(top):
-            u = bundle.uniforms_at(j)
-            sums += np.where(counts > j, size(u, slice(None)), 0.0)
+    for j in range(int(counts.max(initial=0))):
+        sums += np.where(counts > j, size(bundle.uniforms_at(j)), 0.0)
     bundle.advance(counts)
     return sums
 
@@ -219,7 +203,9 @@ class _Scaled:
 
     A power law is b exp((r - k) y) with y = ln x taken once per step, and
     equal exponents share one exp, so no rate overflows and a drift that
-    balances its diffusion does so to the last bit.
+    balances its diffusion does so to the last bit.  A tabulated rate is
+    f(x) / x**k, and exp(ln f(x) - k y) where x**k under- or overflows,
+    its exponent clamped as a power law's.
     """
 
     def __init__(self, x):
@@ -237,7 +223,16 @@ class _Scaled:
         if f.is_zero:
             return 0.0
         if not isinstance(f, PowerLaw):
-            return np.asarray(f(self.x), dtype=float) / self.x ** k
+            rate = np.asarray(f(self.x), dtype=float)
+            with np.errstate(over="ignore"):
+                power = self.x ** k
+            lost = (power == 0.0) | (power == np.inf)
+            if lost.any():
+                with np.errstate(divide="ignore"):   # a zero rate stays 0
+                    rate[lost] = np.exp(np.minimum(
+                        np.log(rate[lost]) - k * self.y[lost], _LOG_SCALE_MAX))
+                power[lost] = 1.0
+            return rate / power
         e = f.r - k
         if e == 0.0:
             return f.b
@@ -263,13 +258,9 @@ class _Engine:
         spec = model.spec
         self.a1_active = not spec.a1.is_zero
         self.a2_active = not spec.a2.is_zero
-        self.nu_active = not model.nu_empty and not spec.a3.is_zero
-        if self.nu_active:
-            self.nu_mass = model.nu_mass
-            self.nu_cum = np.cumsum(model.nu_w) / self.nu_mass
-            self.nu_z = model.nu_z
-        else:
-            self.nu_mass = 0.0
+        # the atom locations z and weights w of nu; none where a3 is 0
+        self.atoms = () if spec.a3.is_zero else tuple(
+            zip(model.nu_z.tolist(), model.nu_w.tolist()))
         # one exact stable draw per step on full support
         self.stable = self.a2_active and model.u_max is None
         # the words every step of every lane draws, in stream order,
@@ -277,7 +268,7 @@ class _Engine:
         # a step that draws one is never drawn ahead
         self.prefix = ("n1",) * self.a1_active + (
             ("u1", "u2") if self.stable else ("n2",) * self.a2_active)
-        self.poisson = self.a2_active and not self.stable or self.nu_active
+        self.poisson = self.a2_active and not self.stable or bool(self.atoms)
         # a0 = b0 x, a1 = b1 x^2 and a2 = b2 x^alpha on full support with
         # no atoms scale to the scalars b: a step's growth X'/X is then a
         # function of its draws alone (see step_ahead)
@@ -289,8 +280,8 @@ class _Engine:
                                               cfg.floor_zero)
                                   if 0.0 < v < np.inf])
 
-    def _adaptive_dt(self, y, drift, var, stable, rate_nu):
-        """Largest step within the log-state and atom-count targets."""
+    def _adaptive_dt(self, y, drift, var, stable):
+        """Largest step within the log-state targets."""
         dist = np.inf
         for level in self.log_levels:
             dist = np.minimum(dist, np.abs(y - level))
@@ -303,15 +294,7 @@ class _Engine:
                 lim = np.minimum(lim, _FAR * sd / np.abs(drift))
             if self.a2_active:  # linear in x: the near-level target anywhere
                 lim = np.minimum(lim, _LOG_SD ** self.alpha / stable)
-            if not _zero(rate_nu):
-                lim = np.minimum(lim, np.maximum(
-                    np.divide(_JUMPS_PER_STEP, rate_nu), _DT_FLOOR))
         return lim
-
-    def _atom(self, u):
-        """Inverse-CDF draw of an atom location from the normalized nu."""
-        k = np.searchsorted(self.nu_cum, u)
-        return self.nu_z[np.minimum(k, self.nu_z.size - 1)]
 
     def draw_ahead(self, bundle, k):
         """The prefix draws of the bundle's next k steps from one
@@ -337,16 +320,18 @@ class _Engine:
         mu = scaled(spec.a0, 1.0)
         var = scaled(spec.a1, 2.0)
         stable = scaled(spec.a2, self.alpha) if self.a2_active else 0.0
-        rate_nu = scaled(spec.a3, 0.0) * self.nu_mass if self.nu_active \
-            else 0.0
+        a3 = scaled(spec.a3, 0.0) if self.atoms else 0.0
 
         dt = cfg.dt
         if cfg.adaptive:
             drift_y = mu if _zero(var) else mu - 0.5 * var
             if self.stable:
                 drift_y = drift_y - self.model.gamma_alpha * stable
+            var_y = var
+            for z, w in self.atoms:
+                var_y = var_y + a3 * w * np.log1p(z / x) ** 2
             dt = np.minimum(dt, self._adaptive_dt(
-                scaled.y, drift_y, var, stable, rate_nu))
+                scaled.y, drift_y, var_y, stable))
         remaining = cfg.horizon_t - t
         hit_horizon = dt >= remaining
         dt = np.where(hit_horizon, remaining, dt)
@@ -366,16 +351,16 @@ class _Engine:
                     gap = a * _HEAVY_JUMPS / (self.model.c_alpha * a2dt)
                 hot = gap < np.inf
                 eps = np.where(hot, (um ** -a + gap) ** (-1.0 / a), um)
-                _, m, s2 = _cutoff_terms(a, self.model.c_alpha, eps, um)
+                m, s2 = _cutoff_terms(a, self.model.c_alpha, eps, um)
                 rel = rel + (np.sqrt(s2 * a2dt) * row[-1] - m * a2dt) / x
                 rel = rel + _jump_sums(
                     bundle, bundle.poissons(_HEAVY_JUMPS * hot),
-                    lambda u, lanes: (um ** -a + (1.0 - u) * gap[lanes])
+                    lambda u: (um ** -a + (1.0 - u) * gap)
                     ** (-1.0 / a)) / x
-            if self.nu_active:
-                n_nu = bundle.poissons(rate_nu * dt)
-                rel = rel + _jump_sums(bundle, n_nu,
-                                        lambda u, lanes: self._atom(u)) / x
+            if self.atoms:   # one count per atom location, in order
+                a3dt = a3 * dt
+                rel = rel + sum(z * bundle.poissons(w * a3dt)
+                                for z, w in self.atoms) / x
             return rel
 
         return (self._growth(x, mu, var, stable, dt, row, jumps), t + dt, dt,
@@ -446,7 +431,8 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     (``_Engine.draw_ahead``, refilled when it runs out), or of the states
     ``_Engine.step_ahead`` made of those up to the horizon, when the block
     moves from one row where lanes finish to the next at once.  Lanes
-    still live when ``step_budget`` runs out are written back the same way.
+    still live when ``step_budget`` runs out are written back the same way,
+    and a state that turns nan raises ``FloatingPointError``.
 
     ``on_step(lanes, x_left, x, t, dt)``, when given, is called after
     every step and before any finished lane leaves the live set:
@@ -474,12 +460,17 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     lanes = np.arange(n)
     xl, tl = x.copy(), t.copy()
     live = bundle.take(lanes)
-    # one lower and one upper test finds every lane that finishes: a lane
-    # at or below the zero floor is below a barrier above the floor, and a
-    # lane at or above the cap is above a barrier below the cap
+    # a lane stays live while one lower and one upper test both hold: a
+    # lane at or below the zero floor is below a barrier above the floor,
+    # and a lane at or above the cap is above a barrier below the cap.  A
+    # nan fails both, so a state that turns nan finishes and raises below
     floor, cap = cfg.floor_zero, cfg.cap_b
-    below = (lambda v: v < a) if a > floor else (lambda v: v <= floor)
-    above = (lambda v: v > b) if b < cap else (lambda v: v >= cap)
+    low = (lambda v: v >= a) if a > floor else (lambda v: v > floor)
+    high = (lambda v: v <= b) if b < cap else (lambda v: v < cap)
+
+    def finished(v):
+        return ~(low(v) & high(v))
+
     # scale-free fixed steps: each refill steps its whole buffer at once
     at_once = eng.free_rates is not None and not cfg.adaptive
     iterations = lane_steps = 0
@@ -492,7 +483,7 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
             if at_once:   # only the rows up to the horizon are drawn
                 path, clock, hit = eng.step_ahead(xl, now, live, depth)
                 depth = len(clock)
-                ends = below(path) | above(path)
+                ends = finished(path)
                 ends[-1] |= hit
             else:
                 ahead = eng.draw_ahead(live, depth)
@@ -519,7 +510,7 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
             # row positional: perfbench's trace hook reads it as args[4]
             xl, tl, dt, hit_horizon = eng.advance(xl, tl, live, ahead[:, row])
             row += 1
-            done = below(xl) | above(xl) | hit_horizon
+            done = finished(xl) | hit_horizon
         if on_step is not None:
             on_step(lanes, x_left, xl, tl, dt)
         if not done.any():
@@ -530,8 +521,14 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         sel = np.flatnonzero(done)
         fin = lanes[sel]
         t_fin = tl[sel]
-        absorbed_now = xl[sel] <= floor
-        x_fin = np.where(absorbed_now, 0.0, xl[sel])
+        x_fin = xl[sel]
+        if np.isnan(x_fin).any():
+            k = sel[np.isnan(x_fin).argmax()]
+            raise FloatingPointError(
+                f"lane {lanes[k]} stepped from x = {float(x_left[k])!r} to "
+                f"nan at step {iterations} (t = {float(tl[k])!r})")
+        absorbed_now = x_fin <= floor
+        x_fin = np.where(absorbed_now, 0.0, x_fin)
         capped_now = x_fin >= cap  # an absorbed lane sits at 0
         tau_a[fin] = np.where(x_fin < a, t_fin, np.nan)
         tau_b[fin] = np.where(x_fin > b, t_fin, np.nan)

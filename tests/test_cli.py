@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nlbranch.cli import build_parser, main
@@ -776,3 +777,29 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "classify", boom)
     cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
     assert main(["classify", "--config", cfg]) == 2
+
+
+def test_cli_a_state_that_turns_nan_is_a_numeric_failure(tmp_path, monkeypatch,
+                                                          capsys):
+    # passage and simulate exit 2 naming the lane, the step and the state;
+    # a sweep row carries the message and the sweep still exits 0
+    from nlbranch import simulator
+
+    advance = simulator._Engine.advance
+
+    def nan_step(self, x, t, bundle, row=None):
+        x, t, dt, hit = advance(self, x, t, bundle, row)
+        return np.full_like(x, np.nan), t, dt, hit
+
+    monkeypatch.setattr(simulator._Engine, "advance", nan_step)
+    cfg = write(tmp_path, "gbm.ini", GBM_CONFIG)
+    out = str(tmp_path / "out")
+    for argv in (["passage", "--x0", "10", "--a", "1", "--t", "1"],
+                 ["simulate", "--x0", "10"]):
+        assert main([*argv, "--config", cfg, "--out", out]) == 2
+        assert "lane 0 stepped from x = 10.0 to nan at step 1" in \
+            capsys.readouterr().err
+    grid = write(tmp_path, "grid.csv", "r0,r1\n1.0,2.0\n")
+    assert main(["sweep", "--config", cfg, "--grid", grid, "--out", out]) == 0
+    assert capsys.readouterr().err.startswith(
+        "row 0: lane 0 stepped from x = 100.0 to nan at step 1")

@@ -21,6 +21,7 @@ from nlbranch.simulator import (
     SimConfig,
     _cutoff_terms,
     _Engine,
+    _jump_sums,
     _run_block,
     martingale_residual,
     trace_path,
@@ -51,40 +52,27 @@ C15 = StableMeasure(1.5).c_alpha()
 
 
 def test_cutoff_terms_closed_form():
-    lam, m, s2 = _cutoff_terms(1.5, C15, 0.01, None)
-    assert lam == pytest.approx(282.0948, rel=1e-6)
+    m, s2 = _cutoff_terms(1.5, C15, 0.01, None)
     assert m == pytest.approx(8.462844, rel=1e-6)
     assert s2 == pytest.approx(0.08462844, rel=1e-6)
 
 
 def test_cutoff_terms_vanishing_tail():
-    # both tail constants decay to zero as the cutoff grows
-    (l0, m0, _), (l1, m1, _), (l2, m2, _) = (
+    # the tail mean decays to zero as the cutoff grows
+    (m0, _), (m1, _), (m2, _) = (
         _cutoff_terms(1.5, C15, eps, None) for eps in (1e2, 1e6, 1e10))
-    assert l0 > l1 > l2
     assert m0 > m1 > m2
-    assert l2 < 1e-14 and m2 < 1e-4
-
-
-def test_cutoff_terms_pareto_mean_identity():
-    # lam * E[jump | jump > eps] = lam * (alpha eps / (alpha-1)) = m
-    for alpha in (1.2, 1.5, 1.9):
-        c = StableMeasure(alpha).c_alpha()
-        for eps in (1e-4, 0.1, 2.0):
-            lam, m, _ = _cutoff_terms(alpha, c, eps, None)
-            assert lam * alpha * eps / (alpha - 1.0) == \
-                pytest.approx(m, rel=1e-12)
+    assert m2 < 1e-4
 
 
 def test_cutoff_terms_truncated_support():
     full = _cutoff_terms(1.5, C15, 0.01, None)
     trunc = _cutoff_terms(1.5, C15, 0.01, 10.0)
     assert trunc[0] < full[0]
-    assert trunc[1] < full[1]
-    assert trunc[2] == full[2]
+    assert trunc[1] == full[1]
     # cutoff above the support cut leaves no heavy jumps
-    lam, m, s2 = _cutoff_terms(1.5, C15, 20.0, 10.0)
-    assert lam == 0.0 and m == 0.0
+    m, s2 = _cutoff_terms(1.5, C15, 20.0, 10.0)
+    assert m == 0.0
     assert s2 == pytest.approx(
         0.4231421876608172 * 10.0 ** 0.5 / 0.5, rel=1e-12)
 
@@ -92,9 +80,9 @@ def test_cutoff_terms_truncated_support():
 def test_cutoff_terms_per_lane_match_scalar_params():
     c = 0.4231421876608172
     eps = np.array([1e-3, 0.5, 10.0, 20.0])
-    lam, m, s2 = _cutoff_terms(1.5, c, eps, 10.0)
+    m, s2 = _cutoff_terms(1.5, c, eps, 10.0)
     for k, e in enumerate(eps):
-        assert (lam[k], m[k], s2[k]) == _cutoff_terms(1.5, c, float(e), 10.0)
+        assert (m[k], s2[k]) == _cutoff_terms(1.5, c, float(e), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +132,7 @@ def test_compensation_kills_mean_increment():
     x_new, _, dt, _ = eng.advance(x, np.zeros(n), bundle)
     incr = x_new - x
     # per-step increment variance: a2 (sigma2_eps + tail second moment) dt
-    _, _, sigma2_eps = _cutoff_terms(1.5, C15, 0.01, None)
+    _, sigma2_eps = _cutoff_terms(1.5, C15, 0.01, None)
     tail_second = 0.4231421876608172 * 0.01 ** 0.5 / 0.5  # c eps^(2-a)/(a... )
     var = (sigma2_eps + tail_second) * 0.01
     se = math.sqrt(var / n)
@@ -261,6 +249,51 @@ def test_adaptive_stable_steps_keep_the_scale_target():
     assert not np.any(out["absorbed"])
 
 
+def test_tabulated_feller_diffusion_reaches_zero_as_its_power_law():
+    # a0 = 0.5 x and a1 = x, tabulated and as power laws: below about
+    # x = 1.5e-162 x**2 underflows to 0 and a1 / x**2 read inf, which
+    # turned 457 of these adaptive lanes into nan.  Scaled in log space
+    # there, the tabulated form absorbs as the power law does, with no
+    # warning
+    tabulated = validate(ModelSpec(
+        a0=Tabulated(((0.0, 0.0), (1.0, 0.5), (1e9, 5e8))),
+        a1=Tabulated(((0.0, 0.0), (1.0, 1.0), (1e9, 1e9))),
+        a2=PowerLaw(0.0, 0.0), a3=PowerLaw(0.0, 0.0),
+        mu=StableMeasure(alpha=1.5), nu=FiniteMeasure(())))
+    power_law = make_model(b0=0.5, r0=1.0, b1=1.0, r1=1.0)
+    n = 2000
+    for adaptive in (False, True):
+        cfg = SimConfig(dt=1e-2, adaptive=adaptive, step_budget=2_000)
+        tab, pw = (_run_block(m, cfg, 0.5, -1.0, np.inf,
+                              StreamBundle(1, np.arange(n, dtype=np.uint64)))
+                   for m in (tabulated, power_law))
+        assert not tab["unfinished"].any() and not np.isnan(tab["x"]).any()
+        p, q = (np.count_nonzero(out["absorbed"]) / n for out in (tab, pw))
+        assert q > 0.05
+        assert abs(p - q) <= 4.0 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+
+
+def test_a_state_that_turns_nan_raises(monkeypatch):
+    # nan fails every end test: such a lane would run to the step budget
+    advance = _Engine.advance
+    steps = []
+
+    def nan_in_lane_3_on_step_2(self, x, t, bundle, row=None):
+        out = advance(self, x, t, bundle, row)
+        steps.append(None)
+        if len(steps) == 2:
+            out[0][3] = np.nan
+        return out
+
+    monkeypatch.setattr(_Engine, "advance", nan_in_lane_3_on_step_2)
+    m = make_model(b0=1.0, r0=1.0, b1=1.0, r1=2.5)
+    with pytest.raises(FloatingPointError,
+                       match=r"lane 3 stepped from x = 10\.\d+ to nan at "
+                             r"step 2 \(t = 0\.002"):
+        _run_block(m, SimConfig(dt=1e-3), 10.0, 1.0, 100.0,
+                   StreamBundle(1, np.arange(8, dtype=np.uint64)))
+
+
 # ---------------------------------------------------------------------------
 # cut support: each step sets its own cutoff
 
@@ -343,6 +376,61 @@ def test_cut_support_passage_agrees_with_a_finer_fixed_cutoff(row):
     p = np.count_nonzero(~np.isnan(out["tau_a"])) / n
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(p - ref) <= 4.0 * math.hypot(se, ref_se)
+
+
+# ---------------------------------------------------------------------------
+# atoms: one Poisson count per atom location
+
+
+# P(T_a <= t) of two atom models at fixed dt = 1e-3, 20,000 paths, read
+# with one Poisson count of draws from the normalized nu per step and at
+# most 0.01 expected atoms per adaptive step: (model, x0, a, t, seed,
+# estimate).  Row A is atom-dense (about 1,000 atoms per unit time at
+# x0); row B has every channel.
+ATOM_ROWS = {
+    "A": (dict(b0=0.1, r0=1.0, b1=1.0, r1=2.0, b3=1.0, r3=1.0, u_max=0.1,
+               atoms=[(0.5, 1.0)]), 1e3, 500.0, 0.2, 5, 0.1053),
+    "B": (dict(b0=1.0, r0=1.0, b1=0.5, r1=2.0, b2=0.5, r2=1.5, b3=0.3,
+               r3=1.0, u_max=5.0, atoms=[(8.0, 0.5), (12.0, 0.3)]),
+          3.0, 2.0, 1.0, 7, 0.3799),
+}
+
+
+@pytest.mark.parametrize("row, n", [("A", 10_000), ("B", 4_000)])
+def test_atom_passage_agrees_with_a_count_of_draws_from_nu(row, n):
+    # Poisson splitting: the per-location counts have the law of one
+    # count of draws from nu, and adaptive steps capped at dt = 1e-3 keep
+    # the fixed-step figure
+    params, x0, a, t, seed, ref = ATOM_ROWS[row]
+    cfg = SimConfig(dt=1e-3, horizon_t=t, adaptive=True)
+    out = _run_block(make_model(**params), cfg, x0, a, np.inf,
+                     StreamBundle(seed, np.arange(n, dtype=np.uint64)))
+    p = np.count_nonzero(~np.isnan(out["tau_a"])) / n
+    se = math.sqrt(p * (1.0 - p) / n + ref * (1.0 - ref) / 20_000)
+    assert abs(p - ref) <= 4.0 * se
+
+
+def test_atom_steps_are_not_bound_by_the_atom_count():
+    # row A at adaptive dt <= 1e-2: 0.01 expected atoms per step held it
+    # to about 21,000 lane-steps per path, against 19.5 at fixed dt = 1e-2
+    params, x0, a, t, seed, _ = ATOM_ROWS["A"]
+    cfg = SimConfig(dt=1e-2, horizon_t=t, adaptive=True)
+    out = _run_block(make_model(**params), cfg, x0, a, np.inf,
+                     StreamBundle(seed, np.arange(200, dtype=np.uint64)))
+    assert out["lane_steps"] <= 1_000 * 200
+    assert not out["unfinished"].any()
+
+
+def test_jump_sums_above_256_jumps_do_not_depend_on_the_block():
+    counts = np.array([0, 1, 300, 5])
+    bundle = StreamBundle(3, np.arange(4, dtype=np.uint64))
+    sums = _jump_sums(bundle, counts, lambda u: -np.log(u))
+    assert np.array_equal(bundle.counters(), counts)
+    for i in range(4):
+        lane = one_lane(3, i)
+        alone = _jump_sums(lane, counts[i:i + 1], lambda u: -np.log(u))
+        assert alone[0] == sums[i], f"lane {i}"
+        assert lane.counters()[0] == counts[i]
 
 
 # ---------------------------------------------------------------------------
@@ -546,29 +634,31 @@ def test_block_run_equals_independent_single_paths():
 
 @pytest.mark.parametrize("jumps", ["heavy", "atoms"])
 def test_lane_jump_sums_do_not_depend_on_the_block(jumps):
-    # atoms: about 282 jumps per lane-step, so the block's largest count
-    # exceeds 256 and it sums each lane's jumps in one flat pass, while a
-    # lane whose own count is at most 256 sums them in lockstep when
-    # stepped alone.  Heavy jumps: a Poisson(1) count per lane-step, which
-    # the block sums in lockstep up to its largest count.  Either way a
-    # lane must give the bits it gives alone.
+    # heavy jumps: a Poisson(1) count per lane-step, which the block sums
+    # in lockstep up to its largest count.  Atoms: about 282 per
+    # lane-step, drawn as one count per atom location on the lane's next
+    # words in location order, so the lane's counts are those of its own
+    # stream.  Either way a lane must give the bits it gives alone.
+    atoms = [(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)]
     if jumps == "heavy":
         m = make_model(b0=1e-3, r0=0.0, b2=1.0, r2=0.0, u_max=5.0)
-        words = 2  # the small-jump normal and the Poisson count
     else:
         m = make_model(b0=1e-3, r0=0.0, b3=94_000.0, r3=0.0, u_max=0.05,
-                       atoms=[(0.1, 1.0), (0.7, 1.5), (1.3, 0.5)])
-        words = 1  # the Poisson count
+                       atoms=atoms)
     cfg = SimConfig(dt=1e-3)
     n = 400
     bundle = StreamBundle(5, np.arange(n, dtype=np.uint64))
     x, _, _, _ = _Engine(m, cfg).advance(np.ones(n), np.zeros(n), bundle)
     counters = bundle.counters()
-    counts = counters - words
     if jumps == "heavy":
+        counts = counters - 2  # past the small-jump normal and the count
         assert min(counts) == 0 and max(counts) >= 4
     else:
-        assert min(counts) <= 256 < max(counts)
+        # one word per location, every rate below one piece's 500
+        assert np.all(counters == len(atoms))
+        rng = StreamBundle(5, np.arange(n, dtype=np.uint64))
+        jump = sum(z * rng.poissons(w * (94_000.0 * 1e-3)) for z, w in atoms)
+        assert np.allclose(x, 1.0 + 1e-6 + jump, rtol=1e-12, atol=0.0)
     for i in range(n):
         rng = one_lane(5, i)
         xi, _, _, _ = _Engine(m, cfg).advance(np.ones(1), np.zeros(1), rng)
