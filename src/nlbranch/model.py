@@ -167,10 +167,6 @@ class ValidatedModel:
         return self.spec.a3(u)
 
     @property
-    def nu_mass(self) -> float:
-        return float(self.nu_w.sum())
-
-    @property
     def full_support(self) -> bool:
         return self.u_max is None
 

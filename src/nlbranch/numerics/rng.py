@@ -79,9 +79,10 @@ def _to_unit(word, out):
 class StreamBundle:
     """A vector of independent streams, one per lane.
 
-    ``uniforms``, ``normals`` and ``poissons`` draw one value per lane and
-    advance each counter by exactly the words it consumed; ``uniforms_at``
-    and ``advance`` act on the lanes they are given (default: all).
+    ``uniforms``, ``normals`` and ``poissons`` draw one value per lane (or
+    for ``poissons`` rows of them) and advance each counter by exactly
+    the words it consumed; ``uniforms_at`` and ``advance`` act on the
+    lanes they are given (default: all).
     """
 
     def __init__(self, seed: int, stream_ids):
@@ -156,36 +157,44 @@ class StreamBundle:
         return ndtri(self.uniforms())
 
     def poissons(self, lam):
-        """One Poisson count per lane with per-lane rates ``lam``.
+        """Poisson counts with rates ``lam``, which broadcast against the
+        lanes: one count per lane, or rows of counts for rates of shape
+        (rows, lanes) or (rows, 1), drawn in row order.
 
-        Exact at every rate: a lane splits its rate into
-        max(ceil(lam / 500), 1) equal pieces, each inverted on the lane's
-        next word, and consumes one word per piece.
+        Exact at every rate: a rate splits into max(ceil(lam / 500), 1)
+        equal pieces, each inverted on one word.  A lane's row j takes
+        its first piece at offset j plus the extra pieces of its rows
+        before j, and its extra pieces on the words after that, so the
+        block reads the words and gives the counts of one call per row.
+        Every piece of the block comes from one ``uniforms_at`` pass and
+        one inversion.
         """
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (self.size,))
+        lam = np.asarray(lam, dtype=float)
+        shape = np.broadcast_shapes(lam.shape, (self.size,))
+        rows = shape[0] if len(shape) == 2 else 1
+        lam = np.broadcast_to(lam, shape).reshape(rows, self.size)
         top = lam.max(initial=0.0)
         # a nan fails the min, an infinite rate the max
         if not (lam.min(initial=0.0) >= 0.0 and top < np.inf):
             raise ValueError("poisson rate must be finite and >= 0")
-        # x / 500 rounds above k for every float x > 500 k: a lane above
-        # one piece's rate has two pieces or more
-        (many,) = np.nonzero(lam > _POISSON_PIECE)
-        pieces = np.ceil(lam[many] / _POISSON_PIECE)
-        lam_piece = lam.copy()
-        lam_piece[many] /= pieces
-        out = _poisson_inversion(lam_piece, self.uniforms())
-        if many.size:
-            # every further piece of every such lane in one inversion, on
-            # the lane's words at offsets 0, 1, ... past piece 0
-            extra = pieces.astype(np.int64) - 1
-            starts = np.cumsum(extra) - extra
-            offsets = np.arange(extra.sum()) - np.repeat(starts, extra)
-            counts = _poisson_inversion(
-                np.repeat(lam_piece[many], extra),
-                self.uniforms_at(offsets, np.repeat(many, extra)))
-            out[many] += np.add.reduceat(counts, starts)
-            self.advance(extra, many)
-        return out
+        if top <= _POISSON_PIECE:   # one piece per rate: row j on word j
+            u = self.uniforms_at(np.arange(rows, dtype=_U64)[:, None])
+            self.advance(rows)
+            return _poisson_inversion(lam.ravel(), u.ravel()).reshape(shape)
+        # x / 500 rounds above k for every float x > 500 k: a rate above
+        # one piece's has two pieces or more
+        pieces = np.maximum(np.ceil(lam / _POISSON_PIECE), 1.0)
+        extra = pieces.astype(np.int64) - 1
+        first = np.arange(rows)[:, None] + np.cumsum(extra, axis=0) - extra
+        # each rate's pieces in one run, on its words first, first + 1, ...
+        n = (extra + 1).ravel()
+        starts = np.cumsum(n) - n
+        offsets = np.repeat(first.ravel() - starts, n) + np.arange(n.sum())
+        lanes = np.repeat(np.tile(np.arange(self.size), rows), n)
+        counts = _poisson_inversion(np.repeat((lam / pieces).ravel(), n),
+                                    self.uniforms_at(offsets, lanes))
+        self.advance(rows + extra.sum(axis=0))
+        return np.add.reduceat(counts, starts).reshape(shape)
 
 
 def _poisson_inversion(lam, u):

@@ -14,10 +14,10 @@ that each lane takes from its step: a Poisson(K = 1) count of
 inverse-CDF tail draws above eps, a variance-matched Gaussian N2 below
 it and the compensation drift -a2(X) m_eps (Asmussen and Rosinski 2001),
 so dt is the only knob.  Atoms add z_j N_j, one exact Poisson(a3(X) w_j
-dt) count per atom location z_j in order, by Poisson splitting the law
-of a Poisson(a3(X) nu(U^c) dt) count of draws from the normalized nu.
-Heavy jumps add each lane's draws in jump order, whatever the other
-lanes of the block draw.
+dt) count per atom location z_j in order, all of a step's counts drawn
+as one block, by Poisson splitting the law of a Poisson(a3(X) nu(U^c) dt)
+count of draws from the normalized nu.  Heavy jumps add each lane's
+draws in jump order, whatever the other lanes of the block draw.
 
 So y' = y + log1p(R) + s N1 - log1p(s^2 / 2).  The diffusion factor is the
 exact log-Gaussian one under frozen log-variance, and the drift enters as
@@ -26,11 +26,13 @@ a0/X - a1/(2 X^2), vanishes the two terms cancel exactly and a driftless
 log-martingale stays driftless, while a pure drift still steps to
 X + a0 dt.  A step with R <= -1 lands at or below zero.
 
-Power-law rates enter as b exp((r - k) y), a rate over the k-th power of
-the state, so no rate overflows below the cap: the cap is a float level
-that may lie far beyond the range where a1 itself is representable.
-Zero and the cap level are absorbing: once a path lands at or below the
-zero floor (clamped to 0) or at or above the cap it is frozen.
+A rate over the k-th power of the state enters in log form, b exp((r -
+k) y) for a power law and exp(ln f(x) - k y) for a table, so no rate
+overflows below the cap: the cap is a float level that may lie far
+beyond the range where a1 itself is representable.  Zero and the cap
+level are absorbing: once a path lands at or below the zero floor
+(clamped to 0) or at or above the cap it is frozen, and where it
+stopped tells how it ended.
 
 With ``adaptive`` the per-lane step comes from the local law of y: the
 standard deviation of y per step stays below max(0.14, d/10), where d is
@@ -93,8 +95,8 @@ _HEAVY_JUMPS = 1.0
 _AHEAD_STEPS = 64
 _AHEAD_BUDGET = 4096
 
-# exponents (r - k) y are clamped here before exp, so no scaled rate
-# overflows even past the cap or near zero
+# exponents (r - k) y and ln f(x) - k y are clamped here before exp, so no
+# scaled rate overflows even past the cap or near zero
 _LOG_SCALE_MAX = 700.0
 
 
@@ -204,8 +206,8 @@ class _Scaled:
     A power law is b exp((r - k) y) with y = ln x taken once per step, and
     equal exponents share one exp, so no rate overflows and a drift that
     balances its diffusion does so to the last bit.  A tabulated rate is
-    f(x) / x**k, and exp(ln f(x) - k y) where x**k under- or overflows,
-    its exponent clamped as a power law's.
+    exp(ln f(x) - k y), its exponent clamped as a power law's, at every
+    x and k; a zero rate stays 0.
     """
 
     def __init__(self, x):
@@ -223,16 +225,9 @@ class _Scaled:
         if f.is_zero:
             return 0.0
         if not isinstance(f, PowerLaw):
-            rate = np.asarray(f(self.x), dtype=float)
-            with np.errstate(over="ignore"):
-                power = self.x ** k
-            lost = (power == 0.0) | (power == np.inf)
-            if lost.any():
-                with np.errstate(divide="ignore"):   # a zero rate stays 0
-                    rate[lost] = np.exp(np.minimum(
-                        np.log(rate[lost]) - k * self.y[lost], _LOG_SCALE_MAX))
-                power[lost] = 1.0
-            return rate / power
+            with np.errstate(divide="ignore"):
+                return np.exp(np.minimum(np.log(f(self.x)) - k * self.y,
+                                         _LOG_SCALE_MAX))
         e = f.r - k
         if e == 0.0:
             return f.b
@@ -358,9 +353,9 @@ class _Engine:
                     lambda u: (um ** -a + (1.0 - u) * gap)
                     ** (-1.0 / a)) / x
             if self.atoms:   # one count per atom location, in order
-                a3dt = a3 * dt
-                rel = rel + sum(z * bundle.poissons(w * a3dt)
-                                for z, w in self.atoms) / x
+                counts = bundle.poissons(self.model.nu_w[:, None] * (a3 * dt))
+                rel = rel + sum(z * n for (z, _), n in zip(self.atoms,
+                                                          counts)) / x
             return rel
 
         return (self._growth(x, mu, var, stable, dt, row, jumps), t + dt, dt,
@@ -425,9 +420,9 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     a ``StreamBundle.take`` of ``bundle``, so every draw and every array
     operation covers whole arrays with no gather or scatter.  A lane
     freezes at its first event: on an iteration where some lanes finish,
-    their event times, flags, state and stream counters are written back
-    to the caller's arrays and ``bundle`` once, and the live set is
-    compacted, with the unread rows of the live lanes' drawn-ahead prefix
+    their state, time and stream counter are written back to the caller's
+    arrays and ``bundle`` once, and the live set is compacted, with the
+    unread rows of the live lanes' drawn-ahead prefix
     (``_Engine.draw_ahead``, refilled when it runs out), or of the states
     ``_Engine.step_ahead`` made of those up to the horizon, when the block
     moves from one row where lanes finish to the next at once.  Lanes
@@ -440,20 +435,18 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     states before the step and ``x``, ``t``, ``dt`` after it.  It must not
     write to these arrays.
 
-    Returns a dict of per-lane arrays (``tau_a``, ``tau_b`` are nan when
-    the crossing never happened, ``absorbed`` and ``capped`` lanes ended
-    at ``t``, ``unfinished`` ones were cut off by the step budget) and the
-    ints ``iterations`` (steps taken) and ``lane_steps`` (summed lanes).
+    Returns a dict of per-lane arrays and the ints ``iterations`` (steps
+    taken) and ``lane_steps`` (summed lanes).  ``unfinished`` lanes were
+    cut off by the step budget; every other outcome follows from where a
+    lane stopped, at ``t``: ``absorbed`` at or below the zero floor (its
+    ``x`` reads 0), ``capped`` at or above the cap, and crossed below a
+    or above b at ``tau_a`` or ``tau_b``, nan where it did not cross.
     """
     horizon = cfg.horizon_t if horizon is None else float(horizon)
     eng = _Engine(model, replace(cfg, horizon_t=horizon), levels=(a, b))
     n = bundle.size
     x = np.full(n, float(x0))
     t = np.zeros(n)
-    tau_a = np.full(n, np.nan)
-    tau_b = np.full(n, np.nan)
-    absorbed = np.zeros(n, dtype=bool)
-    capped = np.zeros(n, dtype=bool)
     unfinished = np.zeros(n, dtype=bool)
 
     # the live lanes: caller's index, state and streams
@@ -516,26 +509,17 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
         if not done.any():
             continue
 
-        # few lanes finish at once: index them by position, not by mask,
-        # and work out how each finished on them alone
+        # few lanes finish at once: index them by position, not by mask
         sel = np.flatnonzero(done)
         fin = lanes[sel]
-        t_fin = tl[sel]
         x_fin = xl[sel]
         if np.isnan(x_fin).any():
             k = sel[np.isnan(x_fin).argmax()]
             raise FloatingPointError(
                 f"lane {lanes[k]} stepped from x = {float(x_left[k])!r} to "
                 f"nan at step {iterations} (t = {float(tl[k])!r})")
-        absorbed_now = x_fin <= floor
-        x_fin = np.where(absorbed_now, 0.0, x_fin)
-        capped_now = x_fin >= cap  # an absorbed lane sits at 0
-        tau_a[fin] = np.where(x_fin < a, t_fin, np.nan)
-        tau_b[fin] = np.where(x_fin > b, t_fin, np.nan)
-        absorbed[fin] = absorbed_now
-        capped[fin] = capped_now
         x[fin] = x_fin
-        t[fin] = t_fin
+        t[fin] = tl[sel]
         bundle.put(fin, live.take(sel))
         keep = ~done
         lanes, xl, tl = lanes[keep], xl[keep], tl[keep]
@@ -553,9 +537,14 @@ def _run_block(model, cfg, x0, a, b, bundle, horizon=None, on_step=None):
     x[lanes] = xl
     t[lanes] = tl
     bundle.put(lanes, live)
+    # each lane stopped at its first event, and a lane the budget cut off
+    # is inside both end tests, so where a lane stopped tells how it ended
+    absorbed = x <= floor
+    x[absorbed] = 0.0
     return {
-        "x": x, "t": t, "tau_a": tau_a, "tau_b": tau_b, "absorbed": absorbed,
-        "capped": capped, "unfinished": unfinished,
+        "x": x, "t": t, "tau_a": np.where(x < a, t, np.nan),
+        "tau_b": np.where(x > b, t, np.nan), "absorbed": absorbed,
+        "capped": x >= cap, "unfinished": unfinished,
         "iterations": iterations, "lane_steps": lane_steps,
     }
 

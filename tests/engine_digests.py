@@ -93,10 +93,10 @@ SWEEP_GRID = "r0,r1\n0.5,1.5\n1.5,2.5\n"
 
 
 def model(b0=1.0, r0=1.0, b1=0.0, r1=0.0, b2=0.0, r2=0.0, b3=0.0, r3=0.0,
-          alpha=1.5, u_max=None, atoms=(), a0=None, a1=None):
+          alpha=1.5, u_max=None, atoms=(), a0=None, a1=None, a2=None):
     return validate(ModelSpec(
         a0=a0 or PowerLaw(b0, r0), a1=a1 or PowerLaw(b1, r1),
-        a2=PowerLaw(b2, r2), a3=PowerLaw(b3, r3),
+        a2=a2 or PowerLaw(b2, r2), a3=PowerLaw(b3, r3),
         mu=StableMeasure(alpha=alpha, u_max=u_max),
         nu=FiniteMeasure(tuple(atoms))))
 
@@ -109,6 +109,16 @@ ROW_A = model(b0=0.1, b1=1.0, r1=2.0, b3=1.0, r3=1.0, u_max=0.1,
               atoms=[(0.5, 1.0)])
 ROW_B = model(b1=0.5, r1=2.0, b2=0.5, r2=1.5, b3=0.3, r3=1.0, u_max=5.0,
               atoms=[(8.0, 0.5), (12.0, 0.3)])
+# five atom locations, whose counts a step draws as one block
+FIVE_ATOMS = model(b0=0.1, b1=1.0, r1=2.0, b3=1.0, r3=1.0, u_max=0.1,
+                   atoms=[(z, 0.2) for z in (0.5, 1.0, 2.0, 4.0, 8.0)])
+# a cut support under a tabulated a2 = 0.5 x, which a step scales by
+# x^alpha for the stable scale and by x^0 for its jump cutoff
+CUT_TABULATED_A2 = model(b1=0.5, r1=2.0, u_max=5.0,
+                         a2=Tabulated(((0.0, 0.0), (1.0, 0.5), (1e9, 5e8))))
+# lanes cross a, cross a into the positive floor, cross b, cross b onto
+# the cap, reach the horizon or are cut off by the budget
+EVERY_END = model(r0=2.0, b1=2.0, r1=3.0, b2=0.5, r2=2.5)
 FELLER = model(a0=Tabulated(((0.0, 0.0), (1.0, 0.5), (1e9, 5e8))),
                a1=Tabulated(((0.0, 0.0), (1.0, 1.0), (1e9, 1e9))))
 
@@ -155,6 +165,15 @@ BLOCKS = {
     "block:tabulated-feller-adaptive": (
         FELLER, SimConfig(dt=1e-2, adaptive=True, step_budget=2_000),
         0.5, -1.0, np.inf, 300, 1),
+    "block:every-end": (EVERY_END, SimConfig(dt=0.1, horizon_t=0.5,
+                                             adaptive=True, floor_zero=0.5,
+                                             cap_b=12.0, step_budget=120),
+                        3.0, 0.55, 10.0, 200, 11),
+    "block:five-atoms": (FIVE_ATOMS, SimConfig(dt=1e-3, horizon_t=0.2),
+                         10.0, 5.0, np.inf, 200, 3),
+    "block:cut-support-tabulated-a2": (CUT_TABULATED_A2,
+                                       SimConfig(dt=1e-2, horizon_t=0.5),
+                                       3.0, 2.0, 6.0, 300, 8),
 }
 
 # name: (model, cfg, x0, seed)

@@ -49,7 +49,7 @@ def test_atom_inside_cut_support_rejected_and_outside_ok():
         validate(make_spec(u_max=2.0, atoms=[(1.5, 1.0)]))
     assert exc.value.code == "atom_inside_support"
     m = validate(make_spec(u_max=2.0, atoms=[(3.0, 0.5), (5.0, 0.25)]))
-    assert m.nu_mass == pytest.approx(0.75)
+    assert m.nu_w.sum() == pytest.approx(0.75)
 
 
 def test_negative_coefficient_and_zero_drift():

@@ -290,6 +290,22 @@ def test_poisson_all_lanes_equal_indexed_lanes_bitwise():
     assert np.array_equal(alone.counters(), mixed.counters()[:small.size])
 
 
+def test_a_block_of_poisson_rows_equals_one_call_per_row():
+    # every lane meets rates of one to five pieces in some row order, so
+    # a row's first word sits past the extra pieces of the rows before it
+    rates = np.array([0.0, 2e-5, 3.0, 700.0, 2500.0])
+    lam = np.tile([np.roll(rates, j) for j in range(5)], 4)
+    for block_rates in (lam, rates[:, None]):
+        block = StreamBundle(41, np.arange(20))
+        rows = StreamBundle(41, np.arange(20))
+        counts = block.poissons(block_rates)
+        assert counts.shape == (5, 20)
+        assert np.array_equal(counts, [rows.poissons(r) for r in block_rates])
+        assert np.array_equal(block.counters(), rows.counters())
+    # one word per piece: 1 + 1 + 1 + 2 + 5
+    assert block.counters().tolist() == [10] * 20
+
+
 def _poisson_search(lam, u, p0):
     """The textbook sequential search, one lane at a time, from
     P(0) = p0."""

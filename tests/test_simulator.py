@@ -23,6 +23,7 @@ from nlbranch.simulator import (
     _Engine,
     _jump_sums,
     _run_block,
+    _Scaled,
     martingale_residual,
     trace_path,
 )
@@ -272,6 +273,20 @@ def test_tabulated_feller_diffusion_reaches_zero_as_its_power_law():
         assert q > 0.05
         assert abs(p - q) <= 4.0 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
 
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.0, 1.5])
+def test_tabulated_rates_scale_as_their_power_law(k):
+    # 0.5 x as one table segment: exp(ln f(x) - k ln x) reads what the
+    # power law's 0.5 exp((1 - k) ln x) does, from 1e-300 to 1e300
+    x = np.geomspace(1e-300, 1e300, 601)
+    table = Tabulated(((0.0, 0.0), (1e300, 5e299)))
+    power_law = PowerLaw(0.5, 1.0)
+    tab, pw = (_Scaled(x)(f, k) for f in (table, power_law))
+    np.testing.assert_allclose(tab, pw, rtol=1e-12, atol=0.0)
+    # a rate that is 0 up to x = 1 stays 0 there, with no warning
+    rate = _Scaled(x)(Tabulated(((1.0, 0.0), (2.0, 1.0))), k)
+    assert np.all(rate[x <= 1.0] == 0.0)
 
 def test_a_state_that_turns_nan_raises(monkeypatch):
     # nan fails every end test: such a lane would run to the step budget
@@ -689,6 +704,27 @@ def test_ragged_lanes_equal_single_paths_cut_by_the_budget():
     assert np.all(np.isnan(block["tau_a"][block["unfinished"]]))
     assert len(set(steps)) >= 3
 
+
+
+def test_ragged_lanes_equal_single_paths_ending_every_way():
+    # a positive zero floor, a finite b and cap, and a budget: lanes cross
+    # a, cross a into the floor, cross b, cross b onto the cap, reach the
+    # horizon and are cut off, each at its own adaptive step
+    m = make_model(b0=1.0, r0=2.0, b1=2.0, r1=3.0, b2=0.5, r2=2.5)
+    cfg = SimConfig(dt=0.1, horizon_t=0.5, adaptive=True, floor_zero=0.5,
+                    cap_b=12.0, step_budget=120)
+    block, steps = _assert_lanes_match_single_runs(m, cfg, 3.0, 0.55, 10.0,
+                                                   24, 3)
+    crossed_a, crossed_b = (~np.isnan(block[k]) for k in ("tau_a", "tau_b"))
+    absorbed, capped = block["absorbed"], block["capped"]
+    unfinished = block["unfinished"]
+    censored = ~(crossed_a | crossed_b | unfinished)
+    for ended in (crossed_a & ~absorbed, absorbed, crossed_b & ~capped,
+                  capped, censored, unfinished):
+        assert ended.any()
+    assert np.array_equal(absorbed, crossed_a & (block["x"] == 0.0))
+    assert np.all(crossed_b[capped])
+    assert len(set(steps)) >= 8
 
 README_MODEL = dict(b0=gamma(1.5), r0=1.0, b2=1.0, r2=1.5)
 MIXED_CRITICAL = dict(b0=0.5 + 0.5 * gamma(1.5), r0=1.0, b1=1.0, r1=2.0,
